@@ -7,10 +7,12 @@ locate its singular fibres exactly, and tabulate the Euler accounting:
     python scripts/pencil_census.py --genus 2 --count 10
 
 Every row re-checks e_total = e(A) e(D) + sum of node contributions and the
-lower bound 4(g1 - 1)(g2 - 1).
+lower bound 4(g1 - 1)(g2 - 1); a failing row names its seed and exits with
+status 1, also under python -O.
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from fibrelab.pencils import pencil_discriminant, seeded_pencil, total_space_euler
@@ -33,8 +35,10 @@ def main() -> None:
         records = summary.singular_fibres
         orbit_count = sum(1 for r in records if not isinstance(r.parameter, Fraction))
         contributions = sum(r.conjugate_count * r.nodes_per_fibre for r in records)
-        assert summary.e_total == summary.e_fibre * summary.e_base + contributions
-        assert summary.e_total >= summary.bound
+        if (summary.e_total != summary.e_fibre * summary.e_base + contributions
+                or summary.e_total < summary.bound):
+            sys.exit(f"seed {seed}: e_total {summary.e_total} fails the Euler accounting "
+                     f"(node contributions {contributions}, bound {summary.bound})")
         print(f"{seed:>4} {disc.degree:>8} {len(records):>6} {orbit_count:>6} "
               f"{contributions:>9} {summary.e_total:>7} {summary.bound:>6} {summary.strict}")
 

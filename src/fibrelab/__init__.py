@@ -63,7 +63,6 @@ from .polynomial import (
     unipoly_from_literal,
     unipoly_to_literal,
 )
-from .quotient import ModulusNotIrreducibleError, QuotientElem, quotient_gcd_degree
 
 __version__ = "0.1.0"
 

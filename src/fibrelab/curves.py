@@ -204,30 +204,41 @@ def construct_split(g: int, seed: int) -> HyperellipticModel:
 # ---------------------------------------------------------------------------
 
 
-def classify_decomposition(g: int, decomposition) -> FibreClass:
-    """Fibre class from a squarefree decomposition of f (any base field).
+def classify_signature(g: int, d1: int, d2: int, d3: int) -> FibreClass:
+    """Fibre class of ``y^2 = f``, ``deg f = 2g + 2``, from its gcd-degree signature.
 
-    Degrees and multiplicities are stable under base change to C, so the
-    same decision tree classifies fibres over Q and over Q[t]/(m).
+    ``d1 = deg u1``, ``d2 = deg u2``, ``d3 = deg u3`` for ``u1 = gcd(f, f')``,
+    ``u2 = gcd(u1, u1')``, ``u3 = gcd(u2, u2')``.  Gcd degrees are stable
+    under base change to C, so the signature may be computed over Q or over
+    any number field containing the coefficients:
+
+    * ``d1`` counts repeated roots with multiplicity minus one,
+    * ``d2 > 0`` iff some root has multiplicity >= 3,
+    * ``d1 - 2 d2 + d3`` is the degree of the multiplicity-exactly-2 part,
+    * when ``d2 == 0`` every repeated root is a double root, so the fibre has
+      exactly ``d1`` nodes, and it splits into two components exactly when
+      the double roots cover all ``2g + 2`` roots, i.e. ``d1 = g + 1``.
     """
-    if all(mult == 1 for _, mult in decomposition):
+    if d1 == 0:
         return FibreClass(FibreKind.SMOOTH, 0, None, g, 2 - 2 * g)
-    t2 = sum(f.degree for f, mult in decomposition if mult == 2)
-    if any(mult >= 3 for _, mult in decomposition):
-        return FibreClass(FibreKind.NON_NODAL, t2, None, None, None)
-    if len(decomposition) == 1:
+    if d2 > 0:
+        return FibreClass(FibreKind.NON_NODAL, d1 - 2 * d2 + d3, None, None, None)
+    if d1 == g + 1:
         # f = c * s^2 with s squarefree: two components, g + 1 crossings
-        s = decomposition[0][0]
-        assert s.degree == g + 1
         return FibreClass(FibreKind.SPLIT_NODAL, g + 1, g + 1, 0, 3 - g)
-    assert 1 <= t2 <= g
-    return FibreClass(FibreKind.IRREDUCIBLE_NODAL, t2, None, g - t2, 2 - 2 * g + t2)
+    if not 1 <= d1 <= g:
+        raise ValueError(f"{d1} double roots do not fit a model of degree 2g+2 = {2 * g + 2}")
+    return FibreClass(FibreKind.IRREDUCIBLE_NODAL, d1, None, g - d1, 2 - 2 * g + d1)
 
 
 def classify(model: HyperellipticModel) -> FibreClass:
+    """Classify a fibre over Q by Yun's squarefree decomposition of ``f``."""
     if model.f.degree != 2 * model.g + 2:
         raise ValueError(DEGREE_DROP)
-    return classify_decomposition(model.g, squarefree_decomposition(model.f))
+    decomposition = squarefree_decomposition(model.f)
+    d1, d2, d3 = (sum(max(mult - i, 0) * factor.degree for factor, mult in decomposition)
+                  for i in (1, 2, 3))
+    return classify_signature(model.g, d1, d2, d3)
 
 
 def singular_points(model: HyperellipticModel):

@@ -4,8 +4,12 @@ A pencil ``f_lam = (1 - lam) f0 + lam f1`` of degree 2g+2 models is treated
 as a fibration with P^1 base (the affine lam-chart; a pencil whose member at
 the chart's infinity degenerates is outside the simulated window and the
 discriminant degree makes that visible).  Singular fibres sit over the roots
-of ``Disc_x(f_lam)``; node counts at algebraic parameters are computed
-exactly over Q[lam]/(m) per irreducible factor m, never numerically.
+of ``Disc_x(f_lam)``.  Node counts are exact, never numerical: at a rational
+root by Yun's algorithm over Q, and along a conjugate orbit, the roots of an
+irreducible factor m of the discriminant, by subresultant certificates over
+Q[lam]: the gcd degrees of the fibre are the least k for which m does not
+divide a principal subresultant coefficient psc_k, a minor of a Sylvester
+matrix with entries in Q[lam].
 
 The total-space Euler number is assembled fibre-wise as
 
@@ -23,20 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
 from typing import Sequence, Tuple, Union
 
 from .curves import (
     DEGREE_DROP,
-    FibreClass,
     FibreKind,
     HyperellipticModel,
     classify,
+    classify_signature,
     seeded_rationals,
 )
 from .factorization import irreducible_factors
-from .polynomial import UniPoly, poly_matrix_det, unipoly_to_literal
-from .quotient import QuotientElem, generator
+from .polynomial import UniPoly, subresultant_minor, sylvester_rows, unipoly_to_literal
 
 NON_CONSTANT = "pencil is non-constant precondition violated"
 EVERYWHERE_SINGULAR = "pencil is everywhere-singular"
@@ -76,23 +78,12 @@ class Pencil:
         lam = Fraction(lam)
         return UniPoly(tuple(c(lam) for c in self.coefficient_polys()))
 
-    def fibre_at_quotient(self, lam: QuotientElem) -> UniPoly:
-        """The member at an algebraic parameter, coefficients in Q[lam]/(m)."""
-        return UniPoly(tuple(_eval_in_quotient(c, lam) for c in self.coefficient_polys()))
-
     def to_dict(self) -> dict:
         return {
             "g": self.g,
             "f0": unipoly_to_literal(self.f0),
             "f1": unipoly_to_literal(self.f1),
         }
-
-
-def _eval_in_quotient(c: UniPoly, lam: QuotientElem) -> QuotientElem:
-    acc = QuotientElem(UniPoly.zero(), lam.modulus)
-    for coeff in reversed(c.coefficients):
-        acc = acc * lam + coeff
-    return acc
 
 
 def seeded_pencil(g: int, seed: int) -> Pencil:
@@ -157,119 +148,84 @@ class FibrationSummary:
 def pencil_discriminant(pencil: Pencil) -> UniPoly:
     """``Disc_x(f_lam)`` as an exact polynomial in lam.
 
-    Computed as the determinant of the generic Sylvester matrix of
-    (f_lam, d f_lam / dx) over Q[lam] (by evaluation-interpolation), with
-    the discriminant sign and the division by the leading coefficient
-    matching :func:`fibrelab.polynomial.discriminant`, so evaluating the
-    result at a rational lam agrees with the scalar discriminant whenever
-    the fibre keeps full degree.  Identically zero means every member is
+    Computed as the ``k = 0`` subresultant minor, the determinant of the
+    generic Sylvester matrix of (f_lam, d f_lam / dx) over Q[lam] (by
+    evaluation-interpolation), with the discriminant sign and the division
+    by the leading coefficient matching
+    :func:`fibrelab.polynomial.discriminant`, so evaluating the result at a
+    rational lam agrees with the scalar discriminant whenever the fibre
+    keeps full degree.  Identically zero means every member is
     singular (e.g. f0 and f1 share a square factor) and raises.
     """
-    coeffs = pencil.coefficient_polys()
-    deriv = [(k + 1) * c for k, c in enumerate(coeffs[1:])]
+    f = UniPoly(tuple(pencil.coefficient_polys()))
+    res = subresultant_minor(sylvester_rows(f, f.derivative()), 0)
     n = 2 * pencil.g + 2
-    # q-block-on-top orientation, as in polynomial.resultant
-    size = n + (n - 1)
-    q_desc = list(reversed(deriv))
-    p_desc = list(reversed(coeffs))
-    rows = []
-    for shift in range(n):
-        rows.append([UniPoly.zero()] * shift + q_desc + [UniPoly.zero()] * (size - shift - n))
-    for shift in range(n - 1):
-        rows.append([UniPoly.zero()] * shift + p_desc + [UniPoly.zero()] * (size - shift - n - 1))
-    res = poly_matrix_det(rows)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    quot, rem = divmod(sign * res, coeffs[-1])
-    assert rem.is_zero, "resultant not divisible by the leading coefficient"
+    quot, rem = divmod(sign * res, f.leading_coefficient)
+    if not rem.is_zero:
+        raise ValueError("resultant not divisible by the leading coefficient")
     if quot.is_zero:
         raise ValueError(EVERYWHERE_SINGULAR)
     return quot
 
 
-def _rational_content_scale(p: UniPoly) -> Fraction:
-    """A rational c such that c * p has small integer-like representatives."""
-    num_gcd, den_lcm = 0, 1
-    for elem in p.coefficients:
-        for c in elem.representative.coefficients:
-            num_gcd = _int_gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    return Fraction(den_lcm, num_gcd) if num_gcd else Fraction(1)
+def _reduced_gcd(p: UniPoly, q: UniPoly, m: UniPoly, start: int):
+    """Degree of ``gcd(p, q)`` over ``Q[lam]/(m)``, and the rows of its subresultant.
 
-
-def _pseudo_rem(p: UniPoly, q: UniPoly) -> UniPoly:
-    """``lc(q)^k * p mod q`` for some k >= 0, by synthetic steps (no inversion)."""
-    lead = q.leading_coefficient
-    zero = lead - lead
-    r = p
-    while not r.is_zero and r.degree >= q.degree:
-        shift = r.degree - q.degree
-        mono = UniPoly((zero,) * shift + (r.leading_coefficient,))
-        r = r * lead - q * mono
-    return r
-
-
-def _pseudo_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """gcd over Q[lam]/(m) up to a unit, via a content-normalised pseudo-PRS.
-
-    Avoids the per-step leading-coefficient inversions of monic Euclid;
-    only degrees and divisibility structure are consumed downstream, for
-    which a unit multiple of the gcd is just as good.
+    ``p`` and ``q`` have coefficients in ``Q[lam]`` and leading coefficients
+    that ``m`` does not divide, and ``m`` divides ``psc_j(p, q)`` for every
+    ``j < start``.  Returns ``(k, rows, lead)`` with ``k`` the least index
+    whose ``psc_k`` is nonzero mod ``m``, ``rows = sylvester_rows(p, q, k)``
+    and ``lead = psc_k mod m``.
     """
-    p = p * _rational_content_scale(p)
-    q = q * _rational_content_scale(q)
-    while not q.is_zero:
-        r = _pseudo_rem(p, q)
-        p, q = q, r * _rational_content_scale(r)
-    return p
+    for k in range(start, q.degree + 1):
+        rows = sylvester_rows(p, q, k)
+        lead = subresultant_minor(rows, k) % m
+        if lead:
+            return k, rows, lead
+    # psc at k = deg q is a power of lc(q), which m does not divide
+    raise ValueError(f"{DEGREE_DROP} along factor {m}")
 
 
-def classify_quotient_fibre(g: int, f_quotient: UniPoly) -> FibreClass:
-    """Classify a fibre whose coefficients live in Q[lam]/(m).
+def orbit_signature(f: UniPoly, m: UniPoly):
+    """Gcd-degree signature ``(d1, d2, d3)`` of ``f`` over ``Q[lam]/(m)``.
 
-    Gcd degrees are stable under base change to C, so with
-    ``u1 = gcd(f, f')`` and ``u2 = gcd(u1, u1')``:
-
-    * ``deg u1`` counts repeated roots with multiplicity minus one,
-    * ``deg u2 > 0`` iff some root has multiplicity >= 3,
-    * when ``deg u2 == 0`` every repeated root is a double root, so the
-      fibre has exactly ``deg u1`` nodes, and it splits into two components
-      exactly when ``2 deg u1 = deg f``.
-
-    This mirrors :func:`fibrelab.curves.classify` fibre-for-fibre (the
-    oracle-equivalence tests pin the two routes together).
+    ``f`` is a polynomial in x with coefficients in ``Q[lam]``; ``m`` is an
+    irreducible factor of ``Disc_x(f)`` that does not divide ``lc(f)``, so
+    one root of ``m`` is one fibre of the orbit.  ``d1`` is the least
+    ``k >= 1`` with ``psc_k(f, f')`` nonzero mod ``m`` (``psc_0`` is
+    ``+-lc(f) Disc(f)``).  When ``d1 >= 2`` the subresultant
+    ``u1 = S_d1(f, f')``, reduced mod ``m``, is a unit multiple of
+    ``gcd(f, f')`` over ``Q[lam]/(m)``, and the same test on ``(u1, u1')``
+    gives ``d2``, then on ``(u2, u2')`` gives ``d3``.  Reducing before the next
+    round keeps the entries of its Sylvester matrices below degree ``deg m``.
     """
-    u1 = _pseudo_gcd(f_quotient, f_quotient.derivative())
-    d1 = u1.degree
-    if d1 == 0:
-        return FibreClass(FibreKind.SMOOTH, 0, None, g, 2 - 2 * g)
-    u2 = _pseudo_gcd(u1, u1.derivative())
-    d2 = u2.degree
-    if d2 == 0:
-        if 2 * d1 == f_quotient.degree:
-            assert d1 == g + 1
-            return FibreClass(FibreKind.SPLIT_NODAL, g + 1, g + 1, 0, 3 - g)
-        assert 1 <= d1 <= g
-        return FibreClass(FibreKind.IRREDUCIBLE_NODAL, d1, None, g - d1, 2 - 2 * g + d1)
-    u3 = _pseudo_gcd(u2, u2.derivative())
-    certified = d1 - 2 * d2 + u3.degree  # degree of the multiplicity-exactly-2 part
-    return FibreClass(FibreKind.NON_NODAL, certified, None, None, None)
-
-
-def _record_nodes(fc: FibreClass) -> int:
-    # For nodal fibres t is the exact node count; for NonNodal it is the
-    # certified (multiplicity-2) part only.
-    return fc.t
+    if not f.leading_coefficient % m:
+        raise ValueError(f"{DEGREE_DROP} along factor {m}")
+    signature = [0, 0, 0]
+    u = f
+    for i, start in enumerate((1, 0, 0)):
+        d, rows, lead = _reduced_gcd(u, u.derivative(), m, start)
+        signature[i] = d
+        if d < 2 or i == 2:  # a linear u is coprime to the constant u'
+            break
+        u = UniPoly(tuple(subresultant_minor(rows, j) % m for j in range(d)) + (lead,))
+    return tuple(signature)
 
 
 def singular_fibres(pencil: Pencil) -> list:
     """Singular-fibre records, one per Galois orbit of discriminant roots.
 
-    Rational parameters are classified directly; conjugate orbits through
-    the quotient field Q[lam]/(m) for each irreducible factor m of the
-    discriminant's squarefree radical.  Records are ordered: rational
-    parameters ascending, then orbits by (degree, minimal polynomial).
+    For each irreducible factor m of the discriminant, a rational parameter
+    (deg m = 1) is classified by Yun's algorithm over Q on its member, and a
+    conjugate orbit by the subresultant signature of the whole pencil over
+    Q[lam]/(m) (:func:`orbit_signature`); both routes end in
+    :func:`fibrelab.curves.classify_signature`.  Records are ordered:
+    rational parameters ascending, then orbits by (degree, minimal
+    polynomial).
     """
     disc = pencil_discriminant(pencil)
+    f = UniPoly(tuple(pencil.coefficient_polys()))
     records = []
     for m, _mult in irreducible_factors(disc):
         if m.degree == 1:
@@ -278,14 +234,10 @@ def singular_fibres(pencil: Pencil) -> list:
             if fibre.degree != 2 * pencil.g + 2:
                 raise ValueError(f"{DEGREE_DROP} at parameter {lam}")
             fc = classify(HyperellipticModel(pencil.g, fibre))
-            records.append(SingularFibreRecord(lam, 1, _record_nodes(fc), fc.kind))
+            records.append(SingularFibreRecord(lam, 1, fc.t, fc.kind))
         else:
-            lam = generator(m)
-            fibre = pencil.fibre_at_quotient(lam)
-            if fibre.degree != 2 * pencil.g + 2:
-                raise ValueError(f"{DEGREE_DROP} along factor {m}")
-            fc = classify_quotient_fibre(pencil.g, fibre)
-            records.append(SingularFibreRecord(m, m.degree, _record_nodes(fc), fc.kind))
+            fc = classify_signature(pencil.g, *orbit_signature(f, m))
+            records.append(SingularFibreRecord(m, m.degree, fc.t, fc.kind))
     rational = sorted((r for r in records if isinstance(r.parameter, Fraction)),
                       key=lambda r: r.parameter)
     orbits = sorted((r for r in records if not isinstance(r.parameter, Fraction)),
@@ -302,7 +254,9 @@ def euler_summary(g1: int, g2: int,
     contribution = sum(r.conjugate_count * r.nodes_per_fibre for r in records)
     exact = all(r.fibre_class != FibreKind.NON_NODAL for r in records)
     e_total = e_fibre * e_base + contribution
-    assert e_total >= bound
+    if e_total < bound:
+        raise ValueError(f"e_total {e_total} below the lower bound {bound}: "
+                         "a record carries a negative node contribution")
     strict = bool(records) and g1 != 1
     return FibrationSummary(e_fibre, e_base, e_total, tuple(records), bound, strict, exact)
 

@@ -3,10 +3,12 @@
 Coefficients are ``fractions.Fraction`` values, so every result is exact and
 every emitted rational is automatically in lowest terms with a positive
 denominator.  ``UniPoly`` is deliberately coefficient-agnostic: any value
-type supporting field arithmetic (``+``, ``-``, ``*``, ``/``, ``bool``,
-``int * value``) can serve as a coefficient, which is how the quotient-ring
-elements of :mod:`fibrelab.quotient` reuse the gcd and squarefree machinery
-verbatim.
+type supporting ring arithmetic (``+``, ``-``, ``*``, ``bool``,
+``int * value``) can serve as a coefficient of the ring operations
+(division and gcds also need ``/``), which is how a pencil member
+becomes one polynomial in ``x`` with coefficients in ``Q[lam]``: its
+Sylvester matrices and their minors (:func:`sylvester_rows`,
+:func:`subresultant_minor`) are then polynomials in ``lam``.
 
 Conventions (held fixed throughout the package):
 
@@ -27,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 class LiteralError(ValueError):
@@ -233,22 +235,6 @@ class UniPoly:
         return " + ".join(reversed(parts)).replace("+ -", "- ")
 
 
-def xgcd(a: UniPoly, b: UniPoly):
-    """Extended Euclid: returns monic ``g`` and ``s, t`` with ``s a + t b = g``."""
-    r0, r1 = a, b
-    s0, s1 = UniPoly.one(), UniPoly.zero()
-    t0, t1 = UniPoly.zero(), UniPoly.one()
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = r0.leading_coefficient
-    return r0 / lead, s0 / lead, t0 / lead
-
-
 # ---------------------------------------------------------------------------
 # squarefree decomposition (Yun), resultants, discriminants, rational roots
 # ---------------------------------------------------------------------------
@@ -331,22 +317,23 @@ def det_fraction(rows) -> Fraction:
     return scale * _bareiss_det(int_rows)
 
 
-def _sylvester_rows(p_coeffs: Sequence, q_coeffs: Sequence):
-    """Rows of the (q-block-on-top) Sylvester matrix.
+def sylvester_rows(p: UniPoly, q: UniPoly, k: int = 0):
+    """Rows of the ``k``-th Sylvester matrix of ``p`` and ``q``, q-block on top.
 
-    ``p_coeffs`` and ``q_coeffs`` are ascending coefficient sequences of
-    exact degrees ``m`` and ``n``; entries may be Fractions or any ring
-    elements (the pencil code passes polynomials in the pencil parameter).
+    With ``m = deg p`` and ``n = deg q``, the rows are the coefficient vectors
+    of ``x^(m-k-1) q, ..., q`` and then ``x^(n-k-1) p, ..., p`` over the
+    monomials ``x^(m+n-k-1), ..., x, 1``.  ``k = 0`` is the Sylvester matrix of
+    :func:`resultant`; :func:`subresultant_minor` reads the ``k``-th
+    subresultant off the others.  Entries are the coefficients themselves
+    (Fractions, or polynomials in a parameter) padded with ``0``.
     """
-    m, n = len(p_coeffs) - 1, len(q_coeffs) - 1
-    size = m + n
-    p_desc = list(reversed(p_coeffs))
-    q_desc = list(reversed(q_coeffs))
+    m, n = p.degree, q.degree
+    size = m + n - k
     rows = []
-    for shift in range(m):
-        rows.append([0] * shift + q_desc + [0] * (size - shift - n - 1))
-    for shift in range(n):
-        rows.append([0] * shift + p_desc + [0] * (size - shift - m - 1))
+    for poly, count in ((q, m - k), (p, n - k)):
+        desc = list(reversed(poly.coefficients))
+        for shift in range(count):
+            rows.append([0] * shift + desc + [0] * (size - shift - len(desc)))
     return rows
 
 
@@ -360,7 +347,7 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
         raise ValueError("resultant undefined for two zero polynomials")
     if p.is_zero or q.is_zero:
         return Fraction(0)
-    rows = _sylvester_rows(p.coefficients, q.coefficients)
+    rows = sylvester_rows(p, q)
     if not rows:
         return Fraction(1)
     rows = [[c if isinstance(c, Fraction) else Fraction(c) for c in row] for row in rows]
@@ -481,6 +468,23 @@ def poly_matrix_det(rows) -> UniPoly:
         scalar = [[e(x) for e in row] for row in norm]
         points.append((x, det_fraction(scalar)))
     return interpolate(points)
+
+
+def subresultant_minor(rows, j: int) -> UniPoly:
+    """Coefficient of ``x^j`` in the subresultant ``S_k``, ``rows = sylvester_rows(p, q, k)``.
+
+    It is the determinant of the first ``len(rows) - 1`` columns followed by
+    the column of ``x^j``, for ``j <= k``.  ``j = k`` gives the principal
+    subresultant coefficient ``psc_k``, and ``k = j = 0`` the resultant.
+    Over a field and for ``deg p > deg q >= k``, ``deg gcd(p, q)`` is the
+    least ``k`` with ``psc_k != 0``, and ``S_k`` is then a nonzero multiple
+    of the gcd (Basu, Pollack and Roy, *Algorithms in Real Algebraic
+    Geometry*, ch. 8).  Both statements pass to a residue field of the
+    entries, such as ``Q[lam]/(m)``, when the map keeps ``deg p`` and
+    ``deg q``, because determinants commute with ring maps.
+    """
+    column = len(rows[0]) - 1 - j
+    return poly_matrix_det([row[:len(rows) - 1] + [row[column]] for row in rows])
 
 
 # ---------------------------------------------------------------------------

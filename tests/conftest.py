@@ -26,6 +26,31 @@ def from_sympy_rational(value) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def number_field_signature(f: UniPoly, m: UniPoly):
+    """Oracle for ``orbit_signature``: ``(d1, d2, d3)`` by sympy's gcd over Q(alpha).
+
+    ``f`` has coefficients in Q[lam] (UniPolys or Fractions) and ``alpha`` is
+    a root of the irreducible ``m``; each coefficient is evaluated at alpha
+    by Horner's rule in sympy's algebraic field, which reduces mod ``m``.
+    """
+    lam = sympy.Symbol("lam")
+    field = sympy.QQ.algebraic_field(sympy.CRootOf(sympy.Poly(to_sympy(m).subs(X, lam), lam), 0))
+    alpha = field([1, 0])
+
+    def at_alpha(c):
+        acc = field.zero
+        for a in reversed(c.coefficients if isinstance(c, UniPoly) else (c,)):
+            acc = acc * alpha + field.convert(sympy.Rational(a.numerator, a.denominator))
+        return acc
+
+    u = sympy.Poly([at_alpha(c) for c in reversed(f.coefficients)], X, domain=field)
+    signature = []
+    for _ in range(3):
+        u = u.gcd(u.diff(X))
+        signature.append(u.degree())
+    return tuple(signature)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xF1B)

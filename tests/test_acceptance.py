@@ -201,3 +201,19 @@ def test_criterion_9_cli_determinism_and_schema():
             except jsonschema.ValidationError:
                 ok = False
     report("9 CLI determinism and schema (3 runs per example)", ok)
+
+
+def test_criterion_10_fibration_euler_formula_higher_genus():
+    # seeded pencils at g = 3 and 4: every discriminant has full degree
+    # 4g + 2, so no singular fibre hides at lam = infinity
+    ok = True
+    for g, seeds in ((3, range(5)), (4, range(3))):
+        for seed in seeds:
+            pencil = seeded_pencil(g, seed)
+            summary = total_space_euler(pencil)
+            records = summary.singular_fibres
+            ok &= pencil_discriminant(pencil).degree == 4 * g + 2
+            ok &= all(r.nodes_per_fibre == 1 for r in records)
+            ok &= sum(r.conjugate_count * r.nodes_per_fibre for r in records) == 4 * g + 2
+            ok &= summary.e_total == 6 and summary.strict and summary.euler_exact
+    report("10 fibration Euler formula (5 genus-3 and 3 genus-4 pencils)", ok)

@@ -9,6 +9,7 @@ from fibrelab.curves import (
     FibreKind,
     HyperellipticModel,
     classify,
+    classify_signature,
     construct_nodal,
     construct_split,
     homogenize_weighted,
@@ -79,6 +80,21 @@ class TestClassify:
     def test_leading_coefficient_is_irrelevant(self):
         fc = classify(model(2, UniPoly.from_roots([0, 1, 2], leading=Fraction(-5, 3)) ** 2 * UniPoly.constant(Fraction(3, 5))))
         assert fc.kind == FibreKind.SPLIT_NODAL
+
+
+class TestClassifySignature:
+    def test_signature_outside_degree_2g_plus_2_rejected(self):
+        # d2 = 0 with d1 = 4 > g + 1 would need eight roots at genus 2
+        with pytest.raises(ValueError, match="do not fit"):
+            classify_signature(2, 4, 0, 0)
+
+    def test_signature_branches(self):
+        assert classify_signature(2, 0, 0, 0).kind == FibreKind.SMOOTH
+        assert classify_signature(2, 3, 0, 0).kind == FibreKind.SPLIT_NODAL
+        assert classify_signature(2, 2, 0, 0).t == 2
+        # a fourth power beside a double root: t counts the double root only
+        fc = classify_signature(3, 4, 2, 1)
+        assert (fc.kind, fc.t) == (FibreKind.NON_NODAL, 1)
 
 
 class TestConstructions:

@@ -1,23 +1,34 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from fibrelab.curves import FibreKind, HyperellipticModel, classify, construct_nodal, construct_split
+from fibrelab.curves import (
+    FibreKind,
+    HyperellipticModel,
+    classify,
+    classify_signature,
+    construct_nodal,
+    construct_split,
+)
+from fibrelab.factorization import irreducible_factors
 from fibrelab.pencils import (
     EVERYWHERE_SINGULAR,
     NON_CONSTANT,
     FibrationSummary,
     Pencil,
-    classify_quotient_fibre,
     euler_summary,
     noether_consistency,
+    orbit_signature,
     pencil_discriminant,
     seeded_pencil,
     singular_fibres,
     total_space_euler,
 )
 from fibrelab.polynomial import UniPoly, discriminant, unipoly_from_literal
-from fibrelab.quotient import generator, quotient_gcd_degree
+
+from conftest import number_field_signature
 
 # the pencil between x^6 - 1 and x^6 - x: small, with one rational singular
 # parameter (a base point of the family sits at (1, 0)) and one quartic orbit
@@ -34,6 +45,20 @@ def planted_pencil(g, t, lam_star, seed=5, smooth_seed=6) -> Pencil:
     # (1 - lam*) f0 + lam* f1 = nodal with f1 = smooth
     f0 = (nodal - lam_star * smooth) / (1 - lam_star)
     return Pencil(g, f0, smooth)
+
+
+def generic_member(pencil: Pencil) -> UniPoly:
+    """f_lam as one polynomial in x with coefficients in Q[lam]."""
+    return UniPoly(tuple(pencil.coefficient_polys()))
+
+
+def pulled_back_member(pencil: Pencil) -> UniPoly:
+    """f_lam along lam = mu^2, coefficients in Q[mu]."""
+    mu_squared = UniPoly((0, 0, 1))
+    return UniPoly(tuple(c.compose(mu_squared) for c in pencil.coefficient_polys()))
+
+
+SQRT2 = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))  # mu^2 - 2
 
 
 class TestPencilValidation:
@@ -117,13 +142,27 @@ class TestSingularFibres:
         shapes = [(r.conjugate_count, r.nodes_per_fibre, r.fibre_class.value) for r in records]
         assert shapes == [(1, 1, "IrreducibleNodal"), (4, 1, "IrreducibleNodal")]
 
-    def test_orbit_nodes_cross_checked_by_monic_euclid(self):
-        # the quartic orbit of the demo pencil, re-counted with the
-        # inversion-based euclidean route of quotient_gcd_degree
+    def test_orbit_nodes_cross_checked_by_number_field_gcd(self):
+        # the quartic orbit of the demo pencil, re-counted by sympy's gcd
+        # over Q(alpha), alpha a root of the orbit's minimal polynomial
         records = singular_fibres(DEMO)
         orbit = next(r for r in records if not isinstance(r.parameter, Fraction))
-        fibre = DEMO.fibre_at_quotient(generator(orbit.parameter))
-        assert quotient_gcd_degree(fibre, fibre.derivative()) == orbit.nodes_per_fibre
+        signature = number_field_signature(generic_member(DEMO), orbit.parameter)
+        assert signature == orbit_signature(generic_member(DEMO), orbit.parameter)
+        assert signature[0] == orbit.nodes_per_fibre
+
+
+class TestOrbitOracle:
+    """The subresultant route against gcds over the number field Q[lam]/(m)."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_orbit_of_seeded_genus_2_pencils(self, seed):
+        pencil = seeded_pencil(2, seed)
+        f = generic_member(pencil)
+        orbits = [m for m, _ in irreducible_factors(pencil_discriminant(pencil)) if m.degree > 1]
+        assert orbits
+        for m in orbits:
+            assert orbit_signature(f, m) == number_field_signature(f, m)
 
 
 class TestEulerFormula:
@@ -181,24 +220,22 @@ class TestConjugateBookkeeping:
         rational_contribution = sum(rational_nodes)
 
         # lam* = 2: preimages mu = +-sqrt(2), one orbit with minpoly mu^2 - 2
-        minpoly = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))
-        mu = generator(minpoly)
-        fibre = pencil_irr.fibre_at_quotient(mu * mu)
-        fc = classify_quotient_fibre(g, fibre)
-        orbit_contribution = minpoly.degree * fc.t
+        fibre = pulled_back_member(pencil_irr)
+        signature = orbit_signature(fibre, SQRT2)
+        assert signature == number_field_signature(fibre, SQRT2)
+        fc = classify_signature(g, *signature)
+        orbit_contribution = SQRT2.degree * fc.t
 
         assert fc.t == t == rational_nodes[0]
         assert orbit_contribution == rational_contribution == 2 * t
         # one orbit record replaces two rational records
-        assert minpoly.degree == 2 and len(fibres) == 2
+        assert SQRT2.degree == 2 and len(fibres) == 2
 
-    def test_quotient_route_matches_rational_route_on_planted_fibre(self):
+    def test_orbit_route_matches_rational_route_on_planted_fibre(self):
         pencil = planted_pencil(2, 2, 2)
-        minpoly = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))
-        mu = generator(minpoly)
-        fc_quotient = classify_quotient_fibre(2, pencil.fibre_at_quotient(mu * mu))
+        fc_orbit = classify_signature(2, *orbit_signature(pulled_back_member(pencil), SQRT2))
         fc_rational = classify(HyperellipticModel(2, pencil.fibre_at(2)))
-        assert (fc_quotient.kind, fc_quotient.t) == (fc_rational.kind, fc_rational.t)
+        assert fc_orbit == fc_rational
 
 
 class TestStrictBound:
@@ -232,46 +269,77 @@ class TestWorseThanNodeFibres:
         assert not summary.euler_exact
 
 
-class TestQuotientClassifierBranches:
-    """Direct unit tests of the gcd-chain classifier over Q[mu]/(mu^2 - 2)."""
+class TestOrbitClassifierBranches:
+    """The subresultant route on fibres over Q(sqrt 2), written as polynomials
+    in x with coefficients in Q[mu] and m = mu^2 - 2, each pinned to the
+    number-field oracle."""
 
-    MINPOLY = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))
-
-    def lift(self, *rational_roots, extra=()):
-        from fibrelab.quotient import constant
-        one = constant(1, self.MINPOLY)
-        poly = UniPoly((one,))
+    @staticmethod
+    def lift(*rational_roots):
+        poly = UniPoly((UniPoly.one(),))
         for r in rational_roots:
-            poly = poly * UniPoly((constant(-r, self.MINPOLY), one))
-        for factor in extra:
-            poly = poly * factor
+            poly = poly * UniPoly((UniPoly.constant(-r), UniPoly.one()))
         return poly
 
-    def x_minus_mu(self):
-        from fibrelab.quotient import constant
-        mu = generator(self.MINPOLY)
-        return UniPoly((-mu, constant(1, self.MINPOLY)))
+    X_MINUS_MU = UniPoly((UniPoly((0, -1)), UniPoly.one()))
+    X_PLUS_MU = UniPoly((UniPoly((0, 1)), UniPoly.one()))
+
+    def classify(self, f):
+        signature = orbit_signature(f, SQRT2)
+        assert signature == number_field_signature(f, SQRT2)
+        return classify_signature(2, *signature)
 
     def test_split_fibre_over_extension(self):
-        s = self.lift(1, 3, extra=[self.x_minus_mu()])  # (x-1)(x-3)(x-mu)
-        fc = classify_quotient_fibre(2, s * s)
+        s = self.lift(1, 3) * self.X_MINUS_MU  # (x-1)(x-3)(x-mu)
+        fc = self.classify(s * s)
         assert fc.kind == FibreKind.SPLIT_NODAL
         assert (fc.t, fc.intersections, fc.euler_number) == (3, 3, 1)
 
     def test_nodal_fibre_with_irrational_node(self):
-        f = self.x_minus_mu() ** 2 * self.lift(1, 2, 3, 4)
-        fc = classify_quotient_fibre(2, f)
+        fc = self.classify(self.X_MINUS_MU ** 2 * self.lift(1, 2, 3, 4))
         assert fc.kind == FibreKind.IRREDUCIBLE_NODAL
         assert (fc.t, fc.geometric_genus, fc.euler_number) == (1, 1, -1)
 
+    def test_two_conjugate_nodes(self):
+        fc = self.classify(self.X_MINUS_MU ** 2 * self.X_PLUS_MU ** 2 * self.lift(1, 2))
+        assert fc.kind == FibreKind.IRREDUCIBLE_NODAL
+        assert (fc.t, fc.geometric_genus, fc.euler_number) == (2, 0, 0)
+
     def test_cusp_only_fibre(self):
-        f = self.x_minus_mu() ** 3 * self.lift(1, 2, 3)
-        fc = classify_quotient_fibre(2, f)
+        fc = self.classify(self.X_MINUS_MU ** 3 * self.lift(1, 2, 3))
         assert fc.kind == FibreKind.NON_NODAL
         assert fc.t == 0
 
     def test_cusp_plus_node_fibre(self):
-        f = self.x_minus_mu() ** 3 * self.lift(1, 1, 2)  # (x-1)^2 node, cusp at mu
-        fc = classify_quotient_fibre(2, f)
+        fc = self.classify(self.X_MINUS_MU ** 3 * self.lift(1, 1, 2))  # (x-1)^2 node, cusp at mu
         assert fc.kind == FibreKind.NON_NODAL
         assert fc.t == 1
+
+    def test_multiplicity_four(self):
+        fc = self.classify(self.X_MINUS_MU ** 4 * self.lift(1, 2))
+        assert fc.kind == FibreKind.NON_NODAL
+        assert fc.t == 0
+
+    def test_leading_coefficient_divisible_by_m_rejected(self):
+        f = self.X_MINUS_MU ** 2 * self.lift(1, 2, 3, 4) * UniPoly((SQRT2,))
+        with pytest.raises(ValueError, match="degree drop"):
+            orbit_signature(f, SQRT2)
+
+
+def test_negative_node_count_rejected_under_optimisation():
+    # the lower-bound check must survive python -O, which strips asserts
+    code = (
+        "from fractions import Fraction\n"
+        "from fibrelab.curves import FibreKind\n"
+        "from fibrelab.pencils import SingularFibreRecord, euler_summary\n"
+        "if __debug__:\n"
+        "    raise SystemExit(2)\n"
+        "record = SingularFibreRecord(Fraction(0), 1, -10, FibreKind.IRREDUCIBLE_NODAL)\n"
+        "try:\n"
+        "    euler_summary(2, 0, [record])\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

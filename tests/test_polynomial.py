@@ -19,9 +19,10 @@ from fibrelab.polynomial import (
     rational_roots,
     resultant,
     squarefree_decomposition,
+    subresultant_minor,
+    sylvester_rows,
     unipoly_from_literal,
     unipoly_to_literal,
-    xgcd,
 )
 
 from conftest import random_unipoly, to_sympy
@@ -66,15 +67,6 @@ class TestUniPolyBasics:
         composed = p.compose(inner)
         for v in (Fraction(0), Fraction(1), Fraction(-5, 3)):
             assert composed(v) == p(inner(v))
-
-    def test_xgcd_bezout(self, rng):
-        for _ in range(30):
-            a = random_unipoly(rng, 6)
-            b = random_unipoly(rng, 6)
-            g, s, t = xgcd(a, b)
-            assert s * a + t * b == g
-            if not g.is_zero:
-                assert g.leading_coefficient == 1
 
 
 class TestSquarefreeDecomposition:
@@ -168,6 +160,48 @@ class TestResultant:
             expected = sympy.discriminant(to_sympy(p), x)
             got = discriminant(p)
             assert sympy.Rational(got.numerator, got.denominator) == expected
+
+
+def minor(rows, j) -> Fraction:
+    """A subresultant minor of a rational matrix, as a scalar."""
+    return subresultant_minor(rows, j)(Fraction(0))
+
+
+class TestSubresultants:
+    def test_k0_minor_is_the_resultant(self, rng):
+        for _ in range(20):
+            p, q = random_unipoly(rng, 5), random_unipoly(rng, 5)
+            if p.degree < 1 or q.degree < 1:
+                continue
+            assert minor(sylvester_rows(p, q), 0) == resultant(p, q)
+
+    def test_least_nonvanishing_psc_is_gcd_degree(self, rng):
+        # planted common factors of degree 0..3; S_k is a multiple of the gcd
+        for _ in range(30):
+            common = UniPoly.from_roots([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))])
+            p = common * random_unipoly(rng, 4)
+            q = common * random_unipoly(rng, 3)
+            if q.degree < 1 or p.degree <= q.degree:
+                continue
+            gcd = p.gcd(q)
+            k = next(k for k in range(q.degree + 1) if minor(sylvester_rows(p, q, k), k))
+            assert k == gcd.degree
+            rows = sylvester_rows(p, q, k)
+            assert UniPoly(tuple(minor(rows, j) for j in range(k + 1))).monic() == gcd
+
+    def test_minors_commute_with_specialisation(self):
+        # entries in Q[lam]: evaluating a minor at a rational lam gives the
+        # minor of the specialised pair, since the degrees in x are kept
+        lam, one = UniPoly.x(), UniPoly.one()
+        p = UniPoly((lam * lam, -(2 * lam), one)) * UniPoly((-one, one))  # (x - lam)^2 (x - 1)
+        q = p.derivative()
+        for value in (Fraction(1), Fraction(2), Fraction(-1, 3)):
+            special = UniPoly(tuple(c(value) for c in p.coefficients))
+            for k in range(q.degree + 1):
+                rows = sylvester_rows(p, q, k)
+                special_rows = sylvester_rows(special, special.derivative(), k)
+                for j in range(k + 1):
+                    assert subresultant_minor(rows, j)(value) == minor(special_rows, j)
 
 
 class TestDiscriminant:
