@@ -15,7 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from fibrelab.pencils import pencil_discriminant, seeded_pencil, total_space_euler
+from fibrelab.pencils import seeded_pencil, total_space_euler
 
 
 def main() -> None:
@@ -29,9 +29,7 @@ def main() -> None:
           f"{'sum nodes':>9} {'e_total':>7} {'bound':>6} strict")
     for i in range(args.count):
         seed = args.seed_base + i
-        pencil = seeded_pencil(args.genus, seed)
-        disc = pencil_discriminant(pencil)
-        summary = total_space_euler(pencil)
+        summary = total_space_euler(seeded_pencil(args.genus, seed))
         records = summary.singular_fibres
         orbit_count = sum(1 for r in records if not isinstance(r.parameter, Fraction))
         contributions = sum(r.conjugate_count * r.nodes_per_fibre for r in records)
@@ -39,7 +37,7 @@ def main() -> None:
                 or summary.e_total < summary.bound):
             sys.exit(f"seed {seed}: e_total {summary.e_total} fails the Euler accounting "
                      f"(node contributions {contributions}, bound {summary.bound})")
-        print(f"{seed:>4} {disc.degree:>8} {len(records):>6} {orbit_count:>6} "
+        print(f"{seed:>4} {summary.disc_degree:>8} {len(records):>6} {orbit_count:>6} "
               f"{contributions:>9} {summary.e_total:>7} {summary.bound:>6} {summary.strict}")
 
 

@@ -25,9 +25,9 @@ and flag the total as a lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .curves import (
     DEGREE_DROP,
@@ -135,6 +135,8 @@ class FibrationSummary:
     bound: int
     strict: bool
     euler_exact: bool = True  # False when a NonNodal fibre makes e_total a lower bound
+    # deg Disc_x(f_lam), set by total_space_euler; not part of the printed summary
+    disc_degree: Optional[int] = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -224,7 +226,11 @@ def singular_fibres(pencil: Pencil) -> list:
     rational parameters ascending, then orbits by (degree, minimal
     polynomial).
     """
-    disc = pencil_discriminant(pencil)
+    return _fibre_records(pencil, pencil_discriminant(pencil))
+
+
+def _fibre_records(pencil: Pencil, disc: UniPoly) -> list:
+    """:func:`singular_fibres` for a pencil whose discriminant ``disc`` is known."""
     f = UniPoly(tuple(pencil.coefficient_polys()))
     records = []
     for m, _mult in irreducible_factors(disc):
@@ -263,7 +269,9 @@ def euler_summary(g1: int, g2: int,
 
 def total_space_euler(pencil: Pencil) -> FibrationSummary:
     """Locate singular fibres and evaluate the Euler-number formula."""
-    return euler_summary(pencil.g, pencil.base_genus, singular_fibres(pencil))
+    disc = pencil_discriminant(pencil)
+    summary = euler_summary(pencil.g, pencil.base_genus, _fibre_records(pencil, disc))
+    return replace(summary, disc_degree=disc.degree)
 
 
 def noether_consistency(summary: FibrationSummary, K2: int):

@@ -10,6 +10,12 @@ becomes one polynomial in ``x`` with coefficients in ``Q[lam]``: its
 Sylvester matrices and their minors (:func:`sylvester_rows`,
 :func:`subresultant_minor`) are then polynomials in ``lam``.
 
+Those determinants (:func:`poly_matrix_det`) are computed in integers: each
+row is scaled once to clear its denominators, the entries are evaluated at
+the integer nodes ``0..N`` and each scalar determinant is taken fraction-free
+(Bareiss), and the values are interpolated by Newton forward differences
+over one common denominator, so Fractions are built only for the output.
+
 Conventions (held fixed throughout the package):
 
 * ``resultant(p, q) = lc(q)^deg(p) * prod p(beta)`` over the roots ``beta``
@@ -28,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Optional
 
 
@@ -430,44 +436,64 @@ def rational_roots(p: UniPoly, degree_cap: Optional[int] = None):
 
 
 # ---------------------------------------------------------------------------
-# interpolation (used for determinants of polynomial matrices)
+# determinants of polynomial matrices
 # ---------------------------------------------------------------------------
 
 
-def interpolate(points) -> UniPoly:
-    """Lagrange interpolation through exact ``(x, y)`` points."""
-    pts = list(points)
-    result = UniPoly.zero()
-    for i, (xi, yi) in enumerate(pts):
-        num = UniPoly.constant(yi)
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if i == j:
-                continue
-            num = num * UniPoly((-Fraction(xj), Fraction(1)))
-            den *= Fraction(xi) - Fraction(xj)
-        result = result + num / den
-    return result
-
-
 def poly_matrix_det(rows) -> UniPoly:
-    """Determinant of a matrix whose entries are UniPoly (or scalar) values.
+    """Determinant of a square matrix whose entries are UniPolys, ints or Fractions.
 
-    Evaluation-interpolation: the determinant as a polynomial has degree at
-    most the sum over rows of the maximal entry degree, so evaluating the
-    entries at enough rational nodes and interpolating is exact.
+    Evaluation-interpolation in integers.  Each row is scaled once by the
+    lcm of the denominators of all its coefficients, so the integer matrix
+    has determinant ``s`` times the wanted one, ``s`` the product of the
+    row scales.  That determinant has degree at most ``N``, the sum over
+    rows of the largest entry degree, so its values at the integer nodes
+    ``0..N`` (integer Horner, then :func:`_bareiss_det`) determine it.
+    Newton forward differences of integer values on consecutive nodes are
+    integers; the Newton form ``sum_k D^k y_0 x(x-1)...(x-k+1) / k!`` is
+    summed by Horner's rule over the common denominator ``N! s``, so
+    Fractions are built only for the output coefficients.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return UniPoly.one()
-    norm = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in rows]
-    bound = sum(max((e.degree for e in row), default=0) for row in norm)
-    points = []
+    int_rows = []
+    scale = 1
+    bound = 0
+    for row in rows:
+        entries = [e.coefficients if isinstance(e, UniPoly) else (e,) if e else () for e in row]
+        width = max(map(len, entries))
+        if not width:
+            return UniPoly.zero()  # an all-zero row
+        den = lcm(*(c.denominator for coeffs in entries for c in coeffs))
+        int_rows.append([[c.numerator * (den // c.denominator) for c in coeffs]
+                         for coeffs in entries])
+        scale *= den
+        bound += width - 1
+    values = []
     for node in range(bound + 1):
-        x = Fraction(node)
-        scalar = [[e(x) for e in row] for row in norm]
-        points.append((x, det_fraction(scalar)))
-    return interpolate(points)
+        mat = []
+        for row in int_rows:
+            scalar_row = []
+            for coeffs in row:
+                value = 0
+                for c in reversed(coeffs):
+                    value = value * node + c
+                scalar_row.append(value)
+            mat.append(scalar_row)
+        values.append(_bareiss_det(mat))
+    # in place: values[k] becomes the k-th forward difference at node 0
+    for k in range(1, bound + 1):
+        for i in range(bound, k - 1, -1):
+            values[i] -= values[i - 1]
+    # Horner in the falling-factorial basis; weight runs through N!/k!
+    acc = [values[bound]]
+    weight = 1
+    for k in range(bound - 1, -1, -1):
+        weight *= k + 1
+        acc = ([values[k] * weight - k * acc[0]]
+               + [a - k * b for a, b in zip(acc, acc[1:] + [0])])
+    den = weight * scale
+    return UniPoly(tuple(Fraction(a, den) for a in acc))
 
 
 def subresultant_minor(rows, j: int) -> UniPoly:

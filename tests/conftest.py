@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from fibrelab.polynomial import UniPoly
+from fibrelab.polynomial import UniPoly, det_fraction
 
 X = sympy.Symbol("x")
 
@@ -24,6 +24,29 @@ def to_sympy(p: UniPoly):
 def from_sympy_rational(value) -> Fraction:
     num, den = sympy.fraction(sympy.nsimplify(value))
     return Fraction(int(num), int(den))
+
+
+def lagrange_poly_matrix_det(rows) -> UniPoly:
+    """Oracle for ``poly_matrix_det``: the Fraction route it replaced.
+
+    The entries (UniPolys or scalars) are evaluated at the rational nodes
+    ``0..N``, ``N`` the sum over rows of the largest entry degree, each
+    scalar determinant is taken by ``det_fraction``, and the values are
+    interpolated by Lagrange's formula over Fraction.
+    """
+    norm = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in rows]
+    bound = sum(max((e.degree for e in row), default=0) for row in norm)
+    nodes = [Fraction(i) for i in range(bound + 1)]
+    result = UniPoly.zero()
+    for xi in nodes:
+        num = UniPoly.constant(det_fraction([[e(xi) for e in row] for row in norm]))
+        den = Fraction(1)
+        for xj in nodes:
+            if xj != xi:
+                num = num * UniPoly((-xj, Fraction(1)))
+                den *= xi - xj
+        result = result + num / den
+    return result
 
 
 def number_field_signature(f: UniPoly, m: UniPoly):

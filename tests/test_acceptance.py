@@ -5,9 +5,11 @@ criterion on stdout.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import jsonschema
@@ -186,12 +188,16 @@ def test_criterion_8_slope_and_bounds_fixtures():
 
 
 def test_criterion_9_cli_determinism_and_schema():
+    # the runs are independent cold interpreters, so they go side by side
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        runs = [[pool.submit(subprocess.run, [sys.executable, "-m", "fibrelab", *argv],
+                             capture_output=True) for _ in range(3)]
+                for _, argv, _, _ in EXAMPLES]
     ok = True
-    for name, argv, schema_name, fmt in EXAMPLES:
+    for (_, _, schema_name, fmt), futures in zip(EXAMPLES, runs):
         outputs = []
-        for _ in range(3):
-            proc = subprocess.run([sys.executable, "-m", "fibrelab", *argv],
-                                  capture_output=True)
+        for future in futures:
+            proc = future.result()
             ok &= proc.returncode == 0
             outputs.append(proc.stdout)
         ok &= outputs[0] == outputs[1] == outputs[2]

@@ -84,6 +84,15 @@ class TestPencilDiscriminant:
         for lam in (0, 1, 3, Fraction(1, 2), Fraction(-7, 3)):
             assert disc(Fraction(lam)) == discriminant(DEMO.fibre_at(lam))
 
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    def test_seeded_ladder_has_full_degree_and_scalar_values(self, g):
+        # rational roots, so every Sylvester row is scaled by its own lcm
+        pencil = seeded_pencil(g, 0)
+        disc = pencil_discriminant(pencil)
+        assert disc.degree == 4 * g + 2
+        for lam in (Fraction(1, 3), Fraction(-2, 5)):
+            assert disc(lam) == discriminant(pencil.fibre_at(lam))
+
     def test_shared_square_factor_is_everywhere_singular(self):
         sq = UniPoly.from_roots([1]) ** 2
         f0 = sq * UniPoly.from_roots([2, 3, 4, 5])
@@ -173,6 +182,7 @@ class TestEulerFormula:
         assert summary.e_total == -4 + total == 6
         assert summary.bound == -4
         assert summary.strict and summary.euler_exact
+        assert summary.disc_degree == 10
 
     def test_empty_fibre_list_gives_product_value(self):
         summary = euler_summary(2, 0, [])

@@ -13,7 +13,6 @@ from fibrelab.polynomial import (
     bipoly_from_literal,
     bipoly_to_literal,
     discriminant,
-    interpolate,
     is_squarefree,
     poly_matrix_det,
     rational_roots,
@@ -25,7 +24,7 @@ from fibrelab.polynomial import (
     unipoly_to_literal,
 )
 
-from conftest import random_unipoly, to_sympy
+from conftest import lagrange_poly_matrix_det, random_unipoly, to_sympy
 
 X = UniPoly.x()
 ONE = UniPoly.one()
@@ -270,9 +269,50 @@ class TestRationalRoots:
 
 class TestInterpolationAndPolyDet:
     def test_interpolation_recovers_polynomial(self, rng):
+        # a 1x1 determinant is its entry, so this is interpolation alone
         p = random_unipoly(rng, 6)
-        pts = [(Fraction(i), p(Fraction(i))) for i in range(p.degree + 1)]
-        assert interpolate(pts) == p
+        assert poly_matrix_det([[p]]) == p == lagrange_poly_matrix_det([[p]])
+
+    @staticmethod
+    def random_entry(rng, max_den=7):
+        kind = rng.random()
+        if kind < 0.2:
+            return 0
+        if kind < 0.3:
+            return rng.randint(-9, 9)
+        if kind < 0.4:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+        return UniPoly(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+                             for _ in range(rng.randint(1, 4))))
+
+    def test_matches_lagrange_oracle_on_random_matrices(self, rng):
+        for size in range(7):
+            for _ in range(12):
+                rows = [[self.random_entry(rng) for _ in range(size)] for _ in range(size)]
+                assert poly_matrix_det(rows) == lagrange_poly_matrix_det(rows)
+
+    def test_matches_lagrange_oracle_with_denominators_in_one_row(self, rng):
+        for size in range(1, 7):
+            rows = [[self.random_entry(rng, max_den=1) for _ in range(size)]
+                    for _ in range(size)]
+            rows[rng.randrange(size)] = [self.random_entry(rng) for _ in range(size)]
+            assert poly_matrix_det(rows) == lagrange_poly_matrix_det(rows)
+
+    def test_matches_lagrange_oracle_on_constant_matrix(self):
+        rows = [[Fraction(1, 2), UniPoly.constant(Fraction(-3, 7)), 5],
+                [0, UniPoly.constant(2), Fraction(4, 3)],
+                [UniPoly.constant(1), 1, Fraction(-1, 6)]]
+        det = poly_matrix_det(rows)
+        assert det == lagrange_poly_matrix_det(rows)
+        assert det == UniPoly.constant(Fraction(-479, 42))
+
+    @pytest.mark.parametrize("rows", [
+        [[0]],
+        [[UniPoly.zero(), 0], [1, Fraction(2, 3)]],  # degree bound -1 + 0 < 0
+        [[0, 0, 0], [X, ONE, 2], [X**3, Fraction(1, 5), X - ONE]],
+    ])
+    def test_all_zero_row_gives_zero(self, rows):
+        assert poly_matrix_det(rows) == UniPoly.zero() == lagrange_poly_matrix_det(rows)
 
     def test_poly_matrix_det_matches_direct_expansion(self):
         t = UniPoly.x()
