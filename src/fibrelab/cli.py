@@ -102,6 +102,46 @@ def _run_pencil(args) -> int:
     return 0
 
 
+def _bidegree(args) -> linear_systems.Bidegree:
+    return linear_systems.Bidegree(args.a, args.b)
+
+
+def _hirzebruch(args) -> linear_systems.HirzebruchClass:
+    return linear_systems.HirzebruchClass(args.e, args.a, args.b)
+
+
+def _hyperelliptic_bidegree(args) -> dict:
+    d = linear_systems.hyperelliptic_bidegree(args.genus)
+    return {"a": d.a, "b": d.b}
+
+
+# flags every query on a surface needs, checked before the query is looked up
+_SURFACE_FLAGS = {"F_e": ("e",)}
+
+# (surface, query) -> (flags the query needs, builder of the result)
+_SYSTEMS_QUERIES = {
+    ("P1xP1", "h0"): (("a", "b"), lambda args: linear_systems.h0_p1xp1(_bidegree(args))),
+    ("P1xP1", "genus"): (
+        ("a", "b"), lambda args: linear_systems.arithmetic_genus_p1xp1(_bidegree(args))),
+    ("P1xP1", "severi"): (
+        ("a", "b", "nodes"), lambda args: linear_systems.severi_dimension(
+            linear_systems.SeveriSpec(_bidegree(args), args.nodes))),
+    ("P1xP1", "prescribed-nodes"): (
+        ("genus", "nodes"),
+        lambda args: linear_systems.prescribed_nodes_dimension(args.genus, args.nodes)),
+    ("P1xP1", "hyperelliptic-bidegree"): (("genus",), _hyperelliptic_bidegree),
+    ("F_e", "genus"): (
+        ("a", "b"), lambda args: linear_systems.hirzebruch_genus(_hirzebruch(args))),
+    ("F_e", "intersect"): (
+        ("a", "b", "a2", "b2"), lambda args: linear_systems.hirzebruch_intersection(
+            _hirzebruch(args), linear_systems.HirzebruchClass(args.e, args.a2, args.b2))),
+    ("F_e", "effective"): (
+        ("a", "b"), lambda args: linear_systems.hirzebruch_effective(_hirzebruch(args))),
+    ("DelPezzo1", "anticanonical-dim"): (
+        ("r",), lambda args: linear_systems.delpezzo_anticanonical_dim(args.r)),
+}
+
+
 def _run_systems(args) -> int:
     def need(*names):
         missing = [n for n in names if getattr(args, n) is None]
@@ -110,51 +150,13 @@ def _run_systems(args) -> int:
                 f"query {args.query!r} needs --{', --'.join(m.replace('_', '-') for m in missing)}")
 
     surface, query = args.surface, args.query
-    if surface == "P1xP1":
-        if query == "h0":
-            need("a", "b")
-            result = linear_systems.h0_p1xp1(linear_systems.Bidegree(args.a, args.b))
-        elif query == "genus":
-            need("a", "b")
-            result = linear_systems.arithmetic_genus_p1xp1(
-                linear_systems.Bidegree(args.a, args.b))
-        elif query == "severi":
-            need("a", "b", "nodes")
-            result = linear_systems.severi_dimension(
-                linear_systems.SeveriSpec(linear_systems.Bidegree(args.a, args.b), args.nodes))
-        elif query == "prescribed-nodes":
-            need("genus", "nodes")
-            result = linear_systems.prescribed_nodes_dimension(args.genus, args.nodes)
-        elif query == "hyperelliptic-bidegree":
-            need("genus")
-            d = linear_systems.hyperelliptic_bidegree(args.genus)
-            result = {"a": d.a, "b": d.b}
-        else:
-            raise LiteralError(f"unknown P1xP1 query {query!r}")
-    elif surface == "F_e":
-        need("e")
-        if query == "genus":
-            need("a", "b")
-            result = linear_systems.hirzebruch_genus(
-                linear_systems.HirzebruchClass(args.e, args.a, args.b))
-        elif query == "intersect":
-            need("a", "b", "a2", "b2")
-            result = linear_systems.hirzebruch_intersection(
-                linear_systems.HirzebruchClass(args.e, args.a, args.b),
-                linear_systems.HirzebruchClass(args.e, args.a2, args.b2))
-        elif query == "effective":
-            need("a", "b")
-            result = linear_systems.hirzebruch_effective(
-                linear_systems.HirzebruchClass(args.e, args.a, args.b))
-        else:
-            raise LiteralError(f"unknown F_e query {query!r}")
-    else:  # DelPezzo1
-        if query == "anticanonical-dim":
-            need("r")
-            result = linear_systems.delpezzo_anticanonical_dim(args.r)
-        else:
-            raise LiteralError(f"unknown DelPezzo1 query {query!r}")
-    _emit({"surface": surface, "query": query, "result": result})
+    need(*_SURFACE_FLAGS.get(surface, ()))
+    try:
+        flags, build = _SYSTEMS_QUERIES[surface, query]
+    except KeyError:
+        raise LiteralError(f"unknown {surface} query {query!r}") from None
+    need(*flags)
+    _emit({"surface": surface, "query": query, "result": build(args)})
     return 0
 
 

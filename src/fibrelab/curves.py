@@ -186,8 +186,7 @@ def construct_nodal(g: int, t: int, seed: int) -> HyperellipticModel:
         raise ValueError(NODE_RANGE)
     n_double, n_simple = t, 2 * g + 2 - 2 * t
     roots = seeded_rationals(seed, n_double + n_simple)
-    f = UniPoly.from_roots(roots[:n_double]) ** 2 * UniPoly.from_roots(roots[n_double:])
-    return HyperellipticModel(g, f)
+    return HyperellipticModel(g, UniPoly.from_roots(roots[:n_double] + roots))
 
 
 def construct_split(g: int, seed: int) -> HyperellipticModel:
@@ -195,8 +194,8 @@ def construct_split(g: int, seed: int) -> HyperellipticModel:
     components meeting transversally in g + 1 points."""
     if g < 2:
         raise ValueError("construction requires g >= 2")
-    s = UniPoly.from_roots(seeded_rationals(seed, g + 1))
-    return HyperellipticModel(g, s * s)
+    roots = seeded_rationals(seed, g + 1)
+    return HyperellipticModel(g, UniPoly.from_roots(roots + roots))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,14 @@ becomes one polynomial in ``x`` with coefficients in ``Q[lam]``: its
 Sylvester matrices and their minors (:func:`sylvester_rows`,
 :func:`subresultant_minor`) are then polynomials in ``lam``.
 
+Yun's squarefree decomposition (:func:`squarefree_decomposition`) and
+:func:`is_squarefree` run in ``Z[x]``: denominators are cleared once, each gcd
+is a primitive polynomial remainder sequence, and the Yun quotients are
+exact integer divisions, which stay in ``Z[x]`` by Gauss's lemma because
+every divisor is primitive.  The result is over Q: Fractions are built only
+for the monic output factors.  ``UniPoly.gcd`` stays the coefficient-agnostic
+Euclid over the coefficient field.
+
 Those determinants (:func:`poly_matrix_det`) are computed in integers: each
 row is scaled once to clear its denominators, the entries are evaluated at
 the integer nodes ``0..N`` and each scalar determinant is taken fraction-free
@@ -97,11 +105,21 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, roots: Iterable, leading=1) -> "UniPoly":
-        """Monic-times-``leading`` product of ``(x - r)`` over ``roots``."""
-        p = cls.constant(leading)
+        """Monic-times-``leading`` product of ``(x - r)`` over rational ``roots``.
+
+        With ``leading = a/b`` and roots ``p_i/q_i`` this is
+        ``a * prod (q_i x - p_i)``, multiplied out in integers, over the one
+        denominator ``b * prod q_i``.
+        """
+        leading = _coerce(leading)
+        acc, den = [leading.numerator], leading.denominator
         for r in roots:
-            p = p * cls((-_coerce(r), Fraction(1)))
-        return p
+            r = _coerce(r)
+            p, q = r.numerator, r.denominator
+            acc = ([-p * acc[0]] + [q * a - p * b for a, b in zip(acc, acc[1:])]
+                   + [q * acc[-1]])
+            den *= q
+        return cls(tuple(Fraction(c, den) for c in acc))
 
     # -- basic queries -------------------------------------------------
 
@@ -246,32 +264,116 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 
 
+def _primitive(coeffs):
+    """Primitive part of a nonzero integer list, with positive leading coefficient."""
+    content = int_gcd(*coeffs)
+    if coeffs[-1] < 0:
+        content = -content
+    return [c // content for c in coeffs]
+
+
+def _integer_primitive(p: UniPoly):
+    """Primitive integer coefficient list of a nonzero ``p`` over Q."""
+    den = lcm(*(c.denominator for c in p.coefficients))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coefficients])
+
+
+def _int_derivative(coeffs):
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def _int_sub(a, b):
+    out = [c - d for c, d in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_pseudo_remainder(a, b):
+    """A nonzero integer multiple of ``a mod b``, for integer lists with ``b`` nonzero.
+
+    Each step scales the running remainder by ``lc(b) / g`` only, ``g`` the
+    gcd of the two leading coefficients, instead of by ``lc(b)`` itself.
+    """
+    n = len(b) - 1
+    lead = b[-1]
+    r = a
+    while len(r) > n:
+        top = r[-1]
+        g = int_gcd(top, lead)
+        ra, rb = lead // g, top // g
+        shift = len(r) - 1 - n
+        r = [ra * c for c in r[:shift]] + [ra * c - rb * d for c, d in zip(r[shift:-1], b)]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _int_gcd(a, b):
+    """Primitive gcd in ``Z[x]`` by a primitive remainder sequence; ``a`` nonzero."""
+    while b:
+        a, b = b, _int_pseudo_remainder(a, b)
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
+
+
+def _int_exact_quotient(a, b):
+    """``a / b`` in ``Z[x]``; raises ArithmeticError unless ``b`` divides ``a`` there."""
+    n = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    quot = [0] * max(len(r) - n, 0)
+    for k in range(len(r) - 1, n - 1, -1):
+        c, rem = divmod(r[k], lead)
+        if rem:
+            raise ArithmeticError("inexact division in Z[x]")
+        if c:
+            quot[k - n] = c
+            for i in range(n):
+                r[k - n + i] -= c * b[i]
+    if any(r[:n]):
+        raise ArithmeticError("inexact division in Z[x]")
+    return quot
+
+
+def _monic_fraction(coeffs) -> UniPoly:
+    lead = coeffs[-1]
+    return UniPoly(tuple(Fraction(c, lead) for c in coeffs))
+
+
 def squarefree_decomposition(p: UniPoly):
-    """Yun's squarefree decomposition (characteristic 0).
+    """Yun's squarefree decomposition (characteristic 0) of ``p`` over Q.
 
     Returns ``[(factor, multiplicity), ...]`` with monic squarefree pairwise
     coprime factors in ascending multiplicity, such that the product of
     ``factor**multiplicity`` equals ``p`` up to the leading coefficient.
     A nonzero constant decomposes into the empty list.
+
+    The steps run in ``Z[x]`` on the primitive part of ``p``: the gcds are
+    primitive remainder sequences, and every divisor is primitive, so by
+    Gauss's lemma the quotients ``b = p/d``, ``p'/d``, ``b/a`` and ``z/a``
+    are exact integer divisions.  Only the monic factors are Fractions.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no decomposition")
-    p = p.monic()
     if p.degree == 0:
         return []
-    d = p.gcd(p.derivative())
-    if d.degree == 0:
-        return [(p, 1)]
-    b = p // d
-    z = (p.derivative() // d) - b.derivative()
+    p = _integer_primitive(p)
+    dp = _int_derivative(p)
+    d = _int_gcd(p, dp)
+    if len(d) == 1:
+        return [(_monic_fraction(p), 1)]
+    b = _int_exact_quotient(p, d)
+    z = _int_sub(_int_exact_quotient(dp, d), _int_derivative(b))
     out = []
     i = 1
-    while b.degree > 0:
-        a = b.gcd(z)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b // a
-        z = (z // a) - b.derivative()
+    while len(b) > 1:
+        a = _int_gcd(b, z)
+        if len(a) > 1:
+            out.append((_monic_fraction(a), i))
+        b = _int_exact_quotient(b, a)
+        z = _int_sub(_int_exact_quotient(z, a), _int_derivative(b))
         i += 1
     return out
 
@@ -279,7 +381,8 @@ def squarefree_decomposition(p: UniPoly):
 def is_squarefree(p: UniPoly) -> bool:
     if p.is_zero:
         return False
-    return p.degree <= 0 or p.gcd(p.derivative()).degree == 0
+    p = _integer_primitive(p)
+    return len(_int_gcd(p, _int_derivative(p))) == 1
 
 
 def _bareiss_det(mat) -> int:
@@ -406,14 +509,7 @@ def rational_roots(p: UniPoly, degree_cap: Optional[int] = None):
     q = UniPoly(tuple(coeffs))
     if q.degree < 1:
         return sorted(out)
-    den = 1
-    for c in q.coefficients:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in q.coefficients]
-    content = 0
-    for c in ints:
-        content = int_gcd(content, c)
-    ints = [c // content for c in ints]
+    ints = _integer_primitive(q)
     seen = set()
     for d0 in _divisors(ints[0]):
         for dn in _divisors(ints[-1]):

@@ -49,6 +49,41 @@ def lagrange_poly_matrix_det(rows) -> UniPoly:
     return result
 
 
+def fraction_squarefree_decomposition(p: UniPoly):
+    """Oracle for ``squarefree_decomposition``: Yun by Euclid over Fraction.
+
+    The route the integer one replaced: monic gcds by ``UniPoly.gcd`` and
+    quotients by ``UniPoly.__floordiv__``, all over Q.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has no decomposition")
+    p = p.monic()
+    if p.degree == 0:
+        return []
+    d = p.gcd(p.derivative())
+    if d.degree == 0:
+        return [(p, 1)]
+    b = p // d
+    z = (p.derivative() // d) - b.derivative()
+    out = []
+    i = 1
+    while b.degree > 0:
+        a = b.gcd(z)
+        if a.degree > 0:
+            out.append((a, i))
+        b = b // a
+        z = (z // a) - b.derivative()
+        i += 1
+    return out
+
+
+def fraction_is_squarefree(p: UniPoly) -> bool:
+    """Oracle for ``is_squarefree``: one Euclid gcd over Fraction."""
+    if p.is_zero:
+        return False
+    return p.degree <= 0 or p.gcd(p.derivative()).degree == 0
+
+
 def number_field_signature(f: UniPoly, m: UniPoly):
     """Oracle for ``orbit_signature``: ``(d1, d2, d3)`` by sympy's gcd over Q(alpha).
 

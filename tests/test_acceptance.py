@@ -16,7 +16,14 @@ import jsonschema
 import pytest
 
 from fibrelab import schemas
-from fibrelab.curves import FibreKind, HyperellipticModel, classify, construct_nodal, j_invariant
+from fibrelab.curves import (
+    FibreKind,
+    HyperellipticModel,
+    classify,
+    construct_nodal,
+    construct_split,
+    j_invariant,
+)
 from fibrelab.geography import (
     SurfaceInvariants,
     XiaoCase,
@@ -223,3 +230,19 @@ def test_criterion_10_fibration_euler_formula_higher_genus():
             ok &= sum(r.conjugate_count * r.nodes_per_fibre for r in records) == 4 * g + 2
             ok &= summary.e_total == 6 and summary.strict and summary.euler_exact
     report("10 fibration Euler formula (5 genus-3 and 3 genus-4 pencils)", ok)
+
+
+def test_criterion_11_node_planting_higher_genus():
+    # degree 16..26 models: every t in 0..g and the split member
+    failures = []
+    for g in range(7, 13):
+        for seed in range(5):
+            for t in range(g + 2):
+                if t > g:
+                    fc, want = classify(construct_split(g, seed)), (FibreKind.SPLIT_NODAL, g + 1, 0)
+                else:
+                    kind = FibreKind.SMOOTH if t == 0 else FibreKind.IRREDUCIBLE_NODAL
+                    fc, want = classify(construct_nodal(g, t, seed)), (kind, t, g - t)
+                if (fc.kind, fc.t, fc.geometric_genus) != want:
+                    failures.append((g, t, seed, fc))
+    report("11 node-planting soundness at g = 7..12 (345 cases)", not failures)

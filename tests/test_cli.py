@@ -96,3 +96,22 @@ def test_scan_streams_csv_per_row():
     assert len(lines) > 1
     chis = [int(line.split(",")[0]) for line in lines[1:]]
     assert chis == sorted(chis)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--surface", "P1xP1", "--query", "bogus"], "unknown P1xP1 query 'bogus'"),
+    (["--surface", "F_e", "--query", "bogus"], "query 'bogus' needs --e"),
+    (["--surface", "F_e", "--e", "1", "--query", "bogus"], "unknown F_e query 'bogus'"),
+    (["--surface", "F_e", "--query", "genus"], "query 'genus' needs --e"),
+    (["--surface", "F_e", "--e", "1", "--query", "intersect", "--a", "1"],
+     "query 'intersect' needs --b, --a2, --b2"),
+    (["--surface", "DelPezzo1", "--query", "h0"], "unknown DelPezzo1 query 'h0'"),
+    (["--surface", "DelPezzo1", "--query", "anticanonical-dim"],
+     "query 'anticanonical-dim' needs --r"),
+    (["--surface", "P1xP1", "--query", "severi", "--a", "2"],
+     "query 'severi' needs --b, --nodes"),
+])
+def test_systems_query_errors(argv, message, capsys):
+    from fibrelab.cli import main
+    assert main(["systems", *argv]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message}

@@ -10,6 +10,7 @@ from fibrelab.polynomial import (
     BiPoly,
     LiteralError,
     UniPoly,
+    _int_exact_quotient,
     bipoly_from_literal,
     bipoly_to_literal,
     discriminant,
@@ -24,7 +25,13 @@ from fibrelab.polynomial import (
     unipoly_to_literal,
 )
 
-from conftest import lagrange_poly_matrix_det, random_unipoly, to_sympy
+from conftest import (
+    fraction_is_squarefree,
+    fraction_squarefree_decomposition,
+    lagrange_poly_matrix_det,
+    random_unipoly,
+    to_sympy,
+)
 
 X = UniPoly.x()
 ONE = UniPoly.one()
@@ -106,6 +113,106 @@ class TestSquarefreeDecomposition:
             assert is_squarefree(f)
             for g, _ in decomp[i + 1:]:
                 assert f.gcd(g).degree == 0
+
+
+def planted_poly(rng, max_degree) -> UniPoly:
+    """Nonzero leading coefficient (any sign, denominator <= 7) times rational
+    linear factors ``(x - p/q)``, ``q <= 7``, and irreducible quadratics, each
+    to a power 1..5, with the degree kept at most ``max_degree``."""
+    lead = Fraction(rng.choice([-9, -4, -1, 1, 2, 3, 7]), rng.randint(1, 7))
+    p = UniPoly.constant(lead)
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.7:
+            factor = lin(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+        else:  # b^2 < 4ac: no rational root
+            a, b = rng.randint(1, 4), rng.randint(-4, 4)
+            c = Fraction(b * b + rng.randint(1, 9), 4 * a)
+            factor = UniPoly((c, Fraction(b), Fraction(a)))
+        power = rng.randint(1, 5)
+        if p.degree + power * factor.degree <= max_degree:
+            p = p * factor**power
+    return p
+
+
+class TestIntegerYun:
+    """The Z[x] route against the Fraction-Euclid oracle in conftest."""
+
+    def assert_matches_oracle(self, p):
+        assert squarefree_decomposition(p) == fraction_squarefree_decomposition(p)
+        assert is_squarefree(p) == fraction_is_squarefree(p)
+
+    def test_matches_oracle_on_planted_polynomials(self, rng):
+        for _ in range(150):
+            self.assert_matches_oracle(planted_poly(rng, 26))
+
+    @pytest.mark.parametrize("mult", [1, 2, 3, 4, 5])
+    def test_each_multiplicity_is_recovered(self, mult):
+        quadratic = UniPoly((Fraction(5, 2), Fraction(-1), Fraction(3)))
+        p = lin(Fraction(-6, 7)) ** mult * quadratic * lin(Fraction(2, 5)) * -7
+        self.assert_matches_oracle(p)
+        assert any(m == mult and (f % lin(Fraction(-6, 7))).is_zero
+                   for f, m in squarefree_decomposition(p))
+
+    def test_matches_oracle_at_degree_26(self, rng):
+        # g = 12 models: planted double roots with denominators up to 7
+        for t in (0, 1, 5, 12):
+            roots = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(26 - t)]
+            p = UniPoly.from_roots(roots[:t] + roots, leading=Fraction(-3, 5))
+            assert p.degree == 26
+            self.assert_matches_oracle(p)
+
+    def test_matches_oracle_on_random_dense_polynomials(self, rng):
+        for _ in range(60):
+            self.assert_matches_oracle(random_unipoly(rng, 12))
+
+    @pytest.mark.parametrize("p", [
+        UniPoly.constant(5),
+        UniPoly.constant(Fraction(-3, 4)),
+        lin(Fraction(1, 2)),
+        UniPoly((Fraction(7, 5), Fraction(-3))),
+        UniPoly((0, 2)),
+    ])
+    def test_constants_and_linear_inputs(self, p):
+        self.assert_matches_oracle(p)
+
+    def test_exact_quotient(self):
+        # (2x + 1)(3x^2 - 1) / (2x + 1)
+        assert _int_exact_quotient([-1, -2, 3, 6], [1, 2]) == [-1, 0, 3]
+        assert _int_exact_quotient([], [1, 2]) == []
+
+    @pytest.mark.parametrize("a, b", [
+        ([1, 0, 1], [1, 1]),  # x^2 + 1 by x + 1: remainder 2
+        ([1, 2], [0, 3]),     # 2x + 1 by 3x: 2/3 is no integer
+        ([0, 3], [0, 2]),     # 3x by 2x: exact over Q, not in Z[x]
+        ([1], [1, 1]),        # a nonzero constant by x + 1
+    ])
+    def test_inexact_quotient_raises(self, a, b):
+        with pytest.raises(ArithmeticError, match="inexact"):
+            _int_exact_quotient(a, b)
+
+
+class TestFromRoots:
+    @staticmethod
+    def fraction_product(roots, leading):
+        p = UniPoly.constant(leading)
+        for r in roots:
+            p = p * lin(r)
+        return p
+
+    def test_matches_fraction_product(self, rng):
+        for _ in range(100):
+            roots = [Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                     for _ in range(rng.randint(0, 8))]
+            roots += rng.sample(roots, min(len(roots), rng.randint(0, 3)))  # repeats
+            leading = rng.choice([1, -1, 0, 3, Fraction(-5, 3), Fraction(2, 7)])
+            got = UniPoly.from_roots(roots, leading=leading)
+            want = self.fraction_product(roots, leading)
+            assert got == want
+            assert unipoly_to_literal(got) == unipoly_to_literal(want)
+
+    def test_accepts_int_and_string_roots(self):
+        assert UniPoly.from_roots([1, "1/2"], leading="-2") == self.fraction_product(
+            [Fraction(1), Fraction(1, 2)], Fraction(-2))
 
 
 class TestResultant:
