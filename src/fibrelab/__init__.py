@@ -46,18 +46,15 @@ from .pencils import (
     FibrationSummary,
     Pencil,
     SingularFibreRecord,
-    noether_consistency,
     pencil_discriminant,
     seeded_pencil,
     singular_fibres,
     total_space_euler,
 )
 from .polynomial import (
-    BiPoly,
     LiteralError,
     UniPoly,
     discriminant,
-    rational_roots,
     resultant,
     squarefree_decomposition,
     unipoly_from_literal,

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import curves, geography, linear_systems, pencils
 from .polynomial import LiteralError, unipoly_from_literal
@@ -43,10 +42,6 @@ def _load_params_file(path: str) -> dict:
     if not isinstance(obj, dict):
         raise LiteralError("parameter file must hold a JSON object")
     return obj
-
-
-def _fraction_str(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +180,7 @@ def _run_invariants(args) -> int:
         _emit({"c2": c2, "chi": chi})
     elif op == "slope":
         nu, verdict = geography.kodaira_slope(args.k2, args.c2)
-        _emit({"slope": _fraction_str(nu), "verdict": verdict.value})
+        _emit({"slope": geography.json_number(nu), "verdict": verdict.value})
     else:  # hurwitz
         _emit({"bound": geography.hurwitz_bound(args.genus)})
     return 0

@@ -28,7 +28,6 @@ from typing import Optional, Union
 
 from .factorization import irreducible_factors
 from .polynomial import (
-    BiPoly,
     UniPoly,
     squarefree_decomposition,
     unipoly_from_literal,
@@ -99,14 +98,23 @@ class FibreClass:
 
 @dataclass(frozen=True)
 class WeightedModel:
-    """Weighted-plane closure: y^2 = h(x0, x1), weight g + 1 on y."""
+    """Weighted-plane closure: y^2 = h(x0, x1), weight g + 1 on y.
+
+    ``h`` is the binary form of degree ``2g + 2`` whose coefficients are
+    those of ``f``: ``h(x0, x1) = sum_k c_k x0^(2g+2-k) x1^k``.
+    """
 
     g: int
-    h: BiPoly
+    f: UniPoly
+
+    def h(self, x0, x1):
+        n = 2 * self.g + 2
+        return sum((c * x0 ** (n - k) * x1 ** k for k, c in enumerate(self.f.coefficients)),
+                   Fraction(0))
 
     def dehomogenize(self) -> UniPoly:
         """``h(1, x)``, recovering the affine right-hand side."""
-        return self.h.substitute_x0(1)
+        return self.f
 
     def value_at_infinity(self) -> Fraction:
         """``h(0, 1)``: nonzero iff the two points over x0 = 0 are distinct.
@@ -266,11 +274,7 @@ def singular_points(model: HyperellipticModel):
 
 def homogenize_weighted(model: HyperellipticModel) -> WeightedModel:
     """Closure in P(1, 1, g+1): h(x0, x1) = x0^(2g+2) f(x1/x0)."""
-    n = 2 * model.g + 2
-    if model.f.degree != n:
-        raise ValueError(DEGREE_DROP)
-    terms = {(n - k, k): c for k, c in enumerate(model.f.coefficients)}
-    return WeightedModel(model.g, BiPoly.from_dict(terms, bidegree=(n, n)))
+    return WeightedModel(model.g, model.f)
 
 
 def j_invariant(a, b) -> Fraction:

@@ -56,6 +56,14 @@ class CheckStatus(str, enum.Enum):
     INAPPLICABLE = "inapplicable"
 
 
+def json_number(v):
+    """A Fraction as an int when integral and as its ``p/q`` string otherwise;
+    any other value unchanged."""
+    if isinstance(v, Fraction):
+        return int(v) if v.denominator == 1 else str(v)
+    return v
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -66,13 +74,9 @@ class Check:
     note: str = ""
 
     def to_dict(self) -> dict:
-        def num(v):
-            if isinstance(v, Fraction):
-                return int(v) if v.denominator == 1 else str(v)
-            return v
         return {
             "name": self.name, "status": self.status.value,
-            "lhs": num(self.lhs), "rhs": num(self.rhs),
+            "lhs": json_number(self.lhs), "rhs": json_number(self.rhs),
             "citation": self.citation, "note": self.note,
         }
 
@@ -192,6 +196,12 @@ def fibration_chi_bounds(inv: SurfaceInvariants) -> GeographyReport:
 # ---------------------------------------------------------------------------
 
 
+def _xiao_k2_window_ii(chi: int, q: int, p_g: int, g2: int, eps: int):
+    """``(lower, upper)``: the case-(ii) bounds on K2 of Xiao LNM 1137, Thm 2.2(ii)."""
+    return (max(2 * chi + 6 * (g2 - 1), chi + 7 * (g2 - 1) + 3 * eps),
+            min(6 * p_g - 5 * q + 3 * g2 + 2, 7 * chi + g2 - 1))
+
+
 class XiaoCase(str, enum.Enum):
     CASE_I = "case_i"   # unstable bundle with the branch divisor containing D0
     CASE_II = "case_ii"  # everything else
@@ -253,8 +263,7 @@ def xiao_validate(inv: SurfaceInvariants, case: XiaoCase | str) -> GeographyRepo
                      "Xiao LNM 1137, Thm 2.2(i)"),
             ])
     else:
-        lower = max(2 * chi + 6 * (g2 - 1), chi + 7 * (g2 - 1) + 3 * eps)
-        upper = min(6 * p_g - 5 * q + 3 * g2 + 2, 7 * chi + g2 - 1)
+        lower, upper = _xiao_k2_window_ii(chi, q, p_g, g2, eps)
         checks.extend([
             _cmp("k2_lower_ii", lower, "<=", K2, "Xiao LNM 1137, Thm 2.2(ii)"),
             _cmp("k2_upper_ii", K2, "<=", upper, "Xiao LNM 1137, Thm 2.2(ii)"),
@@ -329,8 +338,8 @@ def _scan_row(g2: int, chi: int, eps: int) -> Optional[ScanRow]:
         flags.append("q=g2+1")
     if eps == 0:
         flags.append("eps0")
-    lower = max(2 * chi + 6 * (g2 - 1), chi + 7 * (g2 - 1) + 3 * eps)
-    upper = min(6 * p_g - 5 * q + 3 * g2 + 2, 7 * chi + g2 - 1, 8 * chi)
+    lower, upper = _xiao_k2_window_ii(chi, q, p_g, g2, eps)
+    upper = min(upper, 8 * chi)
     if lower > upper:
         return None
     return ScanRow(chi, eps, q, p_g, lower, upper, tuple(flags))

@@ -114,8 +114,7 @@ class SingularFibreRecord:
 
     def to_dict(self) -> dict:
         if isinstance(self.parameter, Fraction):
-            key = {"param": str(self.parameter)
-                   if self.parameter.denominator != 1 else str(self.parameter.numerator)}
+            key = {"param": str(self.parameter)}
         else:
             key = {"minpoly": unipoly_to_literal(self.parameter)}
         return {
@@ -272,13 +271,3 @@ def total_space_euler(pencil: Pencil) -> FibrationSummary:
     disc = pencil_discriminant(pencil)
     summary = euler_summary(pencil.g, pencil.base_genus, _fibre_records(pencil, disc))
     return replace(summary, disc_degree=disc.degree)
-
-
-def noether_consistency(summary: FibrationSummary, K2: int):
-    """``chi = (K^2 + e) / 12``; non-integral chi certifies an impossible K^2.
-
-    Base points of the pencil are not modelled, so K^2 of the resolved total
-    space must be supplied by the caller.
-    """
-    chi = Fraction(K2 + summary.e_total, 12)
-    return chi, chi.denominator == 1

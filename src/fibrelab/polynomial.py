@@ -1,4 +1,4 @@
-"""Exact univariate and bivariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the rationals.
 
 Coefficients are ``fractions.Fraction`` values, so every result is exact and
 every emitted rational is automatically in lowest terms with a positive
@@ -18,11 +18,13 @@ every divisor is primitive.  The result is over Q: Fractions are built only
 for the monic output factors.  ``UniPoly.gcd`` stays the coefficient-agnostic
 Euclid over the coefficient field.
 
-Those determinants (:func:`poly_matrix_det`) are computed in integers: each
-row is scaled once to clear its denominators, the entries are evaluated at
-the integer nodes ``0..N`` and each scalar determinant is taken fraction-free
-(Bareiss), and the values are interpolated by Newton forward differences
-over one common denominator, so Fractions are built only for the output.
+Those determinants, and the constant Sylvester determinant of
+:func:`resultant`, go through the one determinant routine
+(:func:`poly_matrix_det`), which works in integers: each row is scaled once
+to clear its denominators, the entries are evaluated at the integer nodes
+``0..N`` and each scalar determinant is taken fraction-free (Bareiss), and
+the values are interpolated by Newton forward differences over one common
+denominator, so Fractions are built only for the output.
 
 Conventions (held fixed throughout the package):
 
@@ -43,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class LiteralError(ValueError):
@@ -260,7 +262,7 @@ class UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition (Yun), resultants, discriminants, rational roots
+# squarefree decomposition (Yun), resultants, discriminants
 # ---------------------------------------------------------------------------
 
 
@@ -410,22 +412,6 @@ def _bareiss_det(mat) -> int:
     return sign * mat[-1][-1]
 
 
-def det_fraction(rows) -> Fraction:
-    """Exact determinant of a square matrix of Fractions."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        den = 1
-        for c in row:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        int_rows.append([int(c * den) for c in row])
-        scale /= den
-    return scale * _bareiss_det(int_rows)
-
-
 def sylvester_rows(p: UniPoly, q: UniPoly, k: int = 0):
     """Rows of the ``k``-th Sylvester matrix of ``p`` and ``q``, q-block on top.
 
@@ -450,17 +436,16 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
     """Resultant of ``p`` and ``q``; see the module docstring for orientation.
 
     Zero iff ``p`` and ``q`` share a root over the complex numbers (both
-    nonzero); antisymmetric up to the sign ``(-1)^(deg p * deg q)``.
+    nonzero); antisymmetric up to the sign ``(-1)^(deg p * deg q)``.  The
+    Sylvester matrix has constant entries, so its determinant is the
+    constant term of :func:`poly_matrix_det`.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("resultant undefined for two zero polynomials")
     if p.is_zero or q.is_zero:
         return Fraction(0)
-    rows = sylvester_rows(p, q)
-    if not rows:
-        return Fraction(1)
-    rows = [[c if isinstance(c, Fraction) else Fraction(c) for c in row] for row in rows]
-    return det_fraction(rows)
+    det = poly_matrix_det(sylvester_rows(p, q))
+    return det.coefficients[0] if det else Fraction(0)
 
 
 def discriminant(p: UniPoly) -> Fraction:
@@ -470,65 +455,6 @@ def discriminant(p: UniPoly) -> Fraction:
         raise ValueError("discriminant requires degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(p, p.derivative()) / p.leading_coefficient
-
-
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def rational_roots(p: UniPoly, degree_cap: Optional[int] = None):
-    """All rational roots with exact multiplicities, sorted by root.
-
-    Candidates are ``+-d0/dn`` over divisors of the integer-normalised
-    constant and leading coefficients; multiplicities by repeated exact
-    division.  ``degree_cap`` optionally rejects oversized inputs (the
-    divisor search is only meant for desk-scale degrees).
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no roots list")
-    if degree_cap is not None and p.degree > degree_cap:
-        raise ValueError(f"degree {p.degree} exceeds cap {degree_cap}")
-    out = []
-    # strip the power of x: root 0 with its multiplicity
-    k = 0
-    coeffs = list(p.coefficients)
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-        k += 1
-    if k:
-        out.append((Fraction(0), k))
-    q = UniPoly(tuple(coeffs))
-    if q.degree < 1:
-        return sorted(out)
-    ints = _integer_primitive(q)
-    seen = set()
-    for d0 in _divisors(ints[0]):
-        for dn in _divisors(ints[-1]):
-            for cand in (Fraction(d0, dn), Fraction(-d0, dn)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if q(cand):
-                    continue
-                mult = 0
-                factor = UniPoly((-cand, Fraction(1)))
-                rem = q
-                while True:
-                    quo, r = divmod(rem, factor)
-                    if not r.is_zero:
-                        break
-                    rem, mult = quo, mult + 1
-                out.append((cand, mult))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +540,9 @@ def subresultant_minor(rows, j: int) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def _format_fraction(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def unipoly_to_literal(p: UniPoly):
     """Ascending list of coefficient strings, e.g. ``["0", "-1/2", "1"]``."""
-    return [_format_fraction(c) for c in p.coefficients]
+    return [str(c) for c in p.coefficients]
 
 
 def unipoly_from_literal(obj) -> UniPoly:
@@ -635,83 +557,3 @@ def unipoly_from_literal(obj) -> UniPoly:
         except (ValueError, ZeroDivisionError) as exc:
             raise LiteralError(f"bad coefficient token {tok!r}: {exc}") from exc
     return UniPoly(tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class BiPoly:
-    """Sparse bivariate polynomial: sorted ``((i, j), coeff)`` pairs.
-
-    ``bidegree`` optionally bounds the exponents: every stored term must
-    satisfy ``i <= bidegree[0]`` and ``j <= bidegree[1]``.
-    """
-
-    terms: tuple = ()
-    bidegree: Optional[tuple] = None
-
-    def __post_init__(self):
-        cleaned = {}
-        for (i, j), c in self.terms:
-            c = _coerce(c)
-            if not c:
-                continue
-            if i < 0 or j < 0:
-                raise ValueError("negative exponent")
-            if self.bidegree is not None and (i > self.bidegree[0] or j > self.bidegree[1]):
-                raise ValueError(f"term ({i},{j}) exceeds bidegree bound {self.bidegree}")
-            cleaned[(i, j)] = c
-        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
-
-    @classmethod
-    def from_dict(cls, d, bidegree=None) -> "BiPoly":
-        return cls(tuple(d.items()), bidegree)
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __call__(self, x0, x1):
-        total = Fraction(0)
-        for (i, j), c in self.terms:
-            total += c * x0**i * x1**j
-        return total
-
-    def substitute_x0(self, value) -> UniPoly:
-        """Collapse to a univariate polynomial in the second variable."""
-        value = _coerce(value)
-        acc = {}
-        for (i, j), c in self.terms:
-            acc[j] = acc.get(j, Fraction(0)) + c * value**i
-        if not acc:
-            return UniPoly.zero()
-        top = max(acc)
-        return UniPoly(tuple(acc.get(j, Fraction(0)) for j in range(top + 1)))
-
-    def total_degree(self) -> int:
-        return max((i + j for (i, j), _ in self.terms), default=-1)
-
-
-def bipoly_to_literal(p: BiPoly) -> dict:
-    """JSON object ``{"i,j": "coeff"}``."""
-    return {f"{i},{j}": _format_fraction(c) for (i, j), c in p.terms}
-
-
-def bipoly_from_literal(obj, bidegree=None) -> BiPoly:
-    if not isinstance(obj, dict):
-        raise LiteralError("bivariate literal must be a JSON object")
-    terms = {}
-    for key, tok in obj.items():
-        try:
-            i_str, j_str = key.split(",")
-            pair = (int(i_str), int(j_str))
-        except ValueError as exc:
-            raise LiteralError(f"bad exponent key {key!r}: expected 'i,j'") from exc
-        if isinstance(tok, bool) or not isinstance(tok, (str, int)):
-            raise LiteralError(f"bad coefficient token {tok!r}")
-        try:
-            terms[pair] = Fraction(tok)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LiteralError(f"bad coefficient token {tok!r}: {exc}") from exc
-    return BiPoly.from_dict(terms, bidegree)

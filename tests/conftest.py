@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from fibrelab.polynomial import UniPoly, det_fraction
+from fibrelab.polynomial import UniPoly
 
 X = sympy.Symbol("x")
 
@@ -26,12 +26,38 @@ def from_sympy_rational(value) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def gaussian_det(rows) -> Fraction:
+    """Scalar determinant by Gaussian elimination over Fraction.
+
+    Independent of the package's fraction-free kernel: a zero pivot is
+    replaced by the next row with a nonzero entry in its column, and each
+    such swap flips the sign.
+    """
+    mat = [[Fraction(e) for e in row] for row in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if mat[i][k]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
+            det = -det
+        pivot = mat[k][k]
+        det *= pivot
+        for i in range(k + 1, n):
+            factor = mat[i][k] / pivot
+            for j in range(k, n):
+                mat[i][j] -= factor * mat[k][j]
+    return det
+
+
 def lagrange_poly_matrix_det(rows) -> UniPoly:
     """Oracle for ``poly_matrix_det``: the Fraction route it replaced.
 
     The entries (UniPolys or scalars) are evaluated at the rational nodes
     ``0..N``, ``N`` the sum over rows of the largest entry degree, each
-    scalar determinant is taken by ``det_fraction``, and the values are
+    scalar determinant is taken by :func:`gaussian_det`, and the values are
     interpolated by Lagrange's formula over Fraction.
     """
     norm = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in rows]
@@ -39,7 +65,7 @@ def lagrange_poly_matrix_det(rows) -> UniPoly:
     nodes = [Fraction(i) for i in range(bound + 1)]
     result = UniPoly.zero()
     for xi in nodes:
-        num = UniPoly.constant(det_fraction([[e(xi) for e in row] for row in norm]))
+        num = UniPoly.constant(gaussian_det([[e(xi) for e in row] for row in norm]))
         den = Fraction(1)
         for xj in nodes:
             if xj != xi:

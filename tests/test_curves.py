@@ -200,13 +200,19 @@ class TestWeightedHomogenization:
     def test_fermat_style_fixture(self):
         m = model(2, UniPoly.monomial(6) + UniPoly.one())
         w = homogenize_weighted(m)
-        assert w.h.as_dict() == {(0, 6): Fraction(1), (6, 0): Fraction(1)}
+        assert w.h(1, 0) == w.h(0, 1) == 1
+        for c in (Fraction(2), Fraction(-1, 3)):
+            for x0, x1 in ((1, 2), (Fraction(1, 2), -3), (0, 5)):
+                assert w.h(c * x0, c * x1) == c**6 * w.h(x0, x1)
 
     def test_dehomogenize_roundtrip(self, rng):
         for _ in range(20):
             g = rng.choice([2, 3])
             m = construct_nodal(g, rng.randint(0, g), rng.randrange(2**32))
-            assert homogenize_weighted(m).dehomogenize() == m.f
+            w = homogenize_weighted(m)
+            assert w.dehomogenize() == m.f
+            for x in (Fraction(0), Fraction(3), Fraction(-5, 2)):
+                assert w.h(1, x) == m.f(x)
 
     def test_two_smooth_points_at_infinity(self, rng):
         for seed in range(10):

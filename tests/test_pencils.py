@@ -13,13 +13,12 @@ from fibrelab.curves import (
     construct_split,
 )
 from fibrelab.factorization import irreducible_factors
+from fibrelab.geography import SurfaceInvariants, noether_complete
 from fibrelab.pencils import (
     EVERYWHERE_SINGULAR,
     NON_CONSTANT,
-    FibrationSummary,
     Pencil,
     euler_summary,
-    noether_consistency,
     orbit_signature,
     pencil_discriminant,
     seeded_pencil,
@@ -202,14 +201,12 @@ class TestEulerFormula:
         assert summary.e_fibre == -4 and summary.e_base == -2
         assert summary.e_total == 8 == summary.bound
 
-    def test_noether_consistency_examples(self):
+    def test_noether_formula_examples(self):
         s6 = euler_summary(2, 0, singular_fibres(seeded_pencil(2, 3)))
         assert s6.e_total == 6
-        assert noether_consistency(s6, 6) == (Fraction(1), True)
-        chi, integral = noether_consistency(s6, 7)
-        assert chi == Fraction(13, 12) and not integral
-        fake = FibrationSummary(-4, 2, 46, (), -4, True)
-        assert noether_consistency(fake, 2) == (Fraction(4), True)
+        assert noether_complete(SurfaceInvariants(K2=6, e=s6.e_total)).chi == 1
+        with pytest.raises(ValueError, match="non-integral"):
+            noether_complete(SurfaceInvariants(K2=7, e=s6.e_total))
 
 
 class TestConjugateBookkeeping:
@@ -285,9 +282,9 @@ class TestOrbitClassifierBranches:
     number-field oracle."""
 
     @staticmethod
-    def lift(*rational_roots):
+    def lift(*roots):
         poly = UniPoly((UniPoly.one(),))
-        for r in rational_roots:
+        for r in roots:
             poly = poly * UniPoly((UniPoly.constant(-r), UniPoly.one()))
         return poly
 

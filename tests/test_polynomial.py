@@ -7,16 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibrelab.polynomial import (
-    BiPoly,
     LiteralError,
     UniPoly,
     _int_exact_quotient,
-    bipoly_from_literal,
-    bipoly_to_literal,
     discriminant,
     is_squarefree,
     poly_matrix_det,
-    rational_roots,
     resultant,
     squarefree_decomposition,
     subresultant_minor,
@@ -28,6 +24,7 @@ from fibrelab.polynomial import (
 from conftest import (
     fraction_is_squarefree,
     fraction_squarefree_decomposition,
+    gaussian_det,
     lagrange_poly_matrix_det,
     random_unipoly,
     to_sympy,
@@ -279,7 +276,8 @@ class TestSubresultants:
             p, q = random_unipoly(rng, 5), random_unipoly(rng, 5)
             if p.degree < 1 or q.degree < 1:
                 continue
-            assert minor(sylvester_rows(p, q), 0) == resultant(p, q)
+            rows = sylvester_rows(p, q)
+            assert minor(rows, 0) == gaussian_det(rows)
 
     def test_least_nonvanishing_psc_is_gcd_degree(self, rng):
         # planted common factors of degree 0..3; S_k is a multiple of the gcd
@@ -343,35 +341,6 @@ class TestDiscriminant:
             return
         repeated = any(m >= 2 for _, m in squarefree_decomposition(p))
         assert (discriminant(p) == 0) == repeated
-
-
-class TestRationalRoots:
-    def test_simple_pair(self):
-        assert rational_roots(X**2 - ONE) == [(Fraction(-1), 1), (Fraction(1), 1)]
-
-    def test_multiplicity_extraction(self):
-        p = UniPoly((Fraction(-1), Fraction(2))) ** 3  # (2x - 1)^3
-        assert rational_roots(p) == [(Fraction(1, 2), 3)]
-
-    def test_no_rational_roots(self):
-        assert rational_roots(X**2 + ONE) == []
-
-    def test_root_at_zero(self):
-        assert rational_roots(X**2 * lin(3)) == [(Fraction(0), 2), (Fraction(3), 1)]
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            rational_roots(X**9, degree_cap=8)
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            rational_roots(UniPoly.zero())
-
-    def test_planted_roots_recovered(self, rng):
-        for _ in range(20):
-            roots = rng.sample([Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)], 4)
-            p = UniPoly.from_roots(roots, leading=rng.choice([1, 2, -3]))
-            assert rational_roots(p) == sorted((r, 1) for r in roots)
 
 
 class TestInterpolationAndPolyDet:
@@ -449,15 +418,6 @@ class TestLiterals:
             unipoly_from_literal("not-a-list")
         with pytest.raises(LiteralError):
             unipoly_from_literal([1.5])
-
-    def test_bipoly_roundtrip(self):
-        h = BiPoly.from_dict({(6, 0): Fraction(1), (0, 6): Fraction(-1, 3)})
-        literal = bipoly_to_literal(h)
-        assert bipoly_from_literal(literal) == h
-
-    def test_bipoly_bound_enforced(self):
-        with pytest.raises(ValueError):
-            BiPoly.from_dict({(3, 0): Fraction(1)}, bidegree=(2, 2))
 
 
 class TestNormalisationAudit:
