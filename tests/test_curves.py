@@ -8,6 +8,7 @@ from fibrelab.curves import (
     DEGREE_DROP,
     FibreKind,
     HyperellipticModel,
+    WeightedModel,
     classify,
     classify_signature,
     construct_nodal,
@@ -220,6 +221,28 @@ class TestWeightedHomogenization:
             w = homogenize_weighted(m)
             assert w.value_at_infinity() == m.f.leading_coefficient != 0
             assert w.smooth_at_infinity()
+
+
+    def test_h_is_a_form_of_degree_2g_plus_2(self, rng):
+        for _ in range(10):
+            g = rng.choice([2, 3])
+            w = homogenize_weighted(construct_nodal(g, rng.randint(0, g), rng.randrange(2**32)))
+            for c, x0, x1 in ((Fraction(3), Fraction(1, 2), 2), (Fraction(-2, 5), -1, Fraction(4, 3))):
+                assert w.h(c * x0, c * x1) == c ** (2 * g + 2) * w.h(x0, x1)
+
+    def test_h_is_the_chart_at_infinity(self, rng):
+        # h(x0, x1) = x0^(2g+2) f(x1 / x0) for x0 != 0
+        for seed in range(5):
+            m = construct_nodal(3, 1, seed)
+            w = homogenize_weighted(m)
+            for x0, x1 in ((Fraction(2), Fraction(-1)), (Fraction(-1, 3), Fraction(5, 2))):
+                assert w.h(x0, x1) == x0**8 * m.f(x1 / x0)
+
+    def test_missing_top_coefficient_is_singular_at_infinity(self):
+        w = WeightedModel(2, X**5 + UniPoly.one())
+        assert w.value_at_infinity() == 0
+        assert not w.smooth_at_infinity()
+        assert w.h(1, 0) == 1
 
 
 class TestJInvariant:

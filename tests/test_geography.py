@@ -18,6 +18,7 @@ from fibrelab.geography import (
     fibration_chi_bounds,
     general_type_checks,
     hurwitz_bound,
+    json_number,
     kodaira_slope,
     noether_complete,
     xiao_admissible_scan,
@@ -225,6 +226,17 @@ class TestXiaoScan:
             missing = expected - emitted
             assert missing == ({(-1, 0)} if g2 == 0 else set())
 
+    def test_window_is_xiao_validate_window_capped_at_eight_chi(self):
+        # the scan's ends are the bounds xiao_validate checks in case ii,
+        # with the upper end capped by K2 <= 8 chi
+        for g2 in (0, 1, 2):
+            for row in xiao_admissible_scan(g2, 12):
+                inv = SurfaceInvariants(chi=row.chi, q=row.q, p_g=row.p_g,
+                                        K2=row.k2_min, g2=g2, epsilon=row.epsilon)
+                report = xiao_validate(inv, XiaoCase.CASE_II)
+                assert by_name(report, "k2_lower_ii").lhs == row.k2_min
+                assert min(by_name(report, "k2_upper_ii").rhs, 8 * row.chi) == row.k2_max
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             list(xiao_admissible_scan(-1, 5))
@@ -301,6 +313,13 @@ class TestHurwitz:
     def test_genus_one_rejected(self):
         with pytest.raises(ValueError):
             hurwitz_bound(1)
+
+
+def test_json_number_int_or_string():
+    assert json_number(Fraction(4)) == 4 and type(json_number(Fraction(4))) is int
+    assert json_number(Fraction(-1, 3)) == "-1/3"
+    assert json_number(7) == 7
+    assert json_number(None) is None
 
 
 def test_report_serialisation_shape():

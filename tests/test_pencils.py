@@ -18,6 +18,7 @@ from fibrelab.pencils import (
     EVERYWHERE_SINGULAR,
     NON_CONSTANT,
     Pencil,
+    SingularFibreRecord,
     euler_summary,
     orbit_signature,
     pencil_discriminant,
@@ -207,6 +208,15 @@ class TestEulerFormula:
         assert noether_complete(SurfaceInvariants(K2=6, e=s6.e_total)).chi == 1
         with pytest.raises(ValueError, match="non-integral"):
             noether_complete(SurfaceInvariants(K2=7, e=s6.e_total))
+
+
+def test_record_parameter_serialises_as_its_str():
+    for lam, text in ((Fraction(-3, 2), "-3/2"), (Fraction(4), "4"), (Fraction(0), "0")):
+        record = SingularFibreRecord(lam, 1, 1, FibreKind.IRREDUCIBLE_NODAL)
+        assert record.to_dict() == {"param": text, "conjugates": 1, "nodes": 1,
+                                    "class": "IrreducibleNodal"}
+    orbit = SingularFibreRecord(unipoly_from_literal([-2, 0, 1]), 2, 1, FibreKind.SPLIT_NODAL)
+    assert orbit.to_dict()["minpoly"] == ["-2", "0", "1"]
 
 
 class TestConjugateBookkeeping:

@@ -227,6 +227,31 @@ class TestResultant:
         with pytest.raises(ValueError):
             resultant(UniPoly.zero(), UniPoly.zero())
 
+    def test_one_zero_polynomial_gives_fraction_zero(self):
+        for got in (resultant(UniPoly.zero(), X**2 + ONE), resultant(lin(3), UniPoly.zero())):
+            assert got == 0 and isinstance(got, Fraction)
+
+    def test_constant_argument_gives_its_power(self):
+        # an empty block leaves a diagonal of the constant, or an empty
+        # matrix (determinant 1) when both are constants
+        c = UniPoly.constant(Fraction(-2, 3))
+        q = X**3 + lin(5)
+        assert resultant(c, q) == Fraction(-2, 3) ** 3
+        assert resultant(q, c) == Fraction(-2, 3) ** 3
+        assert resultant(c, UniPoly.constant(7)) == 1
+
+    def test_fraction_coefficients_against_gaussian_det(self, rng):
+        # rational coefficients and the (p, p') pair, through an oracle that
+        # shares no code with poly_matrix_det
+        for _ in range(20):
+            p = UniPoly(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                              for _ in range(rng.randint(2, 7))) + (Fraction(rng.randint(1, 5), 3),))
+            q = random_unipoly(rng, 5) * UniPoly.constant(Fraction(1, rng.randint(1, 7)))
+            for a, b in ((p, q), (p, p.derivative())):
+                if b.degree < 1:
+                    continue
+                assert resultant(a, b) == gaussian_det(sylvester_rows(a, b))
+
     @given(polys_st, polys_st)
     @settings(max_examples=100, deadline=None)
     def test_swap_antisymmetry(self, p, q):
@@ -263,6 +288,27 @@ class TestResultant:
             expected = sympy.discriminant(to_sympy(p), x)
             got = discriminant(p)
             assert sympy.Rational(got.numerator, got.denominator) == expected
+
+
+class TestGaussianDetOracle:
+    """The test oracle for scalar determinants, checked on its own."""
+
+    def test_against_sympy_matrix_det(self, rng):
+        # mostly-zero entries force zero pivots and row swaps
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.4 else 0
+                     for _ in range(n)] for _ in range(n)]
+            expected = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                                     for row in rows]).det()
+            got = gaussian_det(rows)
+            assert sympy.Rational(got.numerator, got.denominator) == expected
+
+    def test_empty_singular_and_permutation_signs(self):
+        assert gaussian_det([]) == 1
+        assert gaussian_det([[1, 2], [Fraction(1, 2), 1]]) == 0
+        assert gaussian_det([[0, 1], [1, 0]]) == -1
+        assert gaussian_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
 
 
 def minor(rows, j) -> Fraction:
