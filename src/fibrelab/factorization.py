@@ -5,13 +5,21 @@ genuinely need irreducible factors (minimal polynomials of conjugate
 singular points, and the moduli for per-fibre node counting at algebraic
 pencil parameters) go through this thin exact bridge.  Factors come back
 monic and in a deterministic order.
+
+A generic pencil's discriminant is irreducible of degree 4g+2, where
+sympy's Zassenhaus spends its time Hensel-lifting modular factors that
+never recombine; from degree 24 on, a degree-set certificate
+(:func:`_certified_irreducible`) is tried before sympy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomial import UniPoly
+from .polynomial import UniPoly, _integer_primitive
+
+_CERTIFY_FROM_DEGREE = 24  # below it sympy alone is as fast, so a failed try is pure cost
+_CERTIFY_PRIMES = 12  # good primes below 200 tried before the certificate gives up
 
 
 def _sympy():
@@ -33,6 +41,37 @@ def _from_sympy(p) -> UniPoly:
     return UniPoly(tuple(coeffs))
 
 
+def _certified_irreducible(p: UniPoly) -> bool:
+    """True when reductions modulo small primes prove ``p`` irreducible over Q.
+
+    Modulo a prime dividing neither the leading coefficient nor the
+    discriminant of ``p``'s primitive integer multiple, a factor of degree
+    ``d`` over Q reduces to a product of distinct irreducible factors, so
+    ``d`` is a sum of some of their degrees, which the distinct-degree
+    factorization gives.  When no ``0 < d < deg p`` is such a sum for every
+    prime tried, ``p`` is irreducible (Musser, JACM 25, 1978).  False means
+    only "not certified".
+    """
+    from sympy import primerange
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_from_int_poly, gf_monic, gf_sqf_p
+
+    f = _integer_primitive(p)[::-1]
+    possible, tried = set(range(1, p.degree)), 0
+    for prime in primerange(3, 200):
+        fp = gf_from_int_poly(f, prime)
+        if len(fp) < len(f) or not gf_sqf_p(fp, prime, ZZ):
+            continue
+        sums = {0}
+        for factor, d in gf_ddf_zassenhaus(gf_monic(fp, prime, ZZ)[1], prime, ZZ):
+            sums = {s + d * i for s in sums for i in range((len(factor) - 1) // d + 1)}
+        possible &= sums
+        tried += 1
+        if not possible or tried == _CERTIFY_PRIMES:
+            break
+    return not possible
+
+
 def irreducible_factors(p: UniPoly):
     """Monic irreducible factors of ``p`` with multiplicities.
 
@@ -44,6 +83,8 @@ def irreducible_factors(p: UniPoly):
         raise ValueError("zero polynomial has no factorization")
     if p.degree == 0:
         return []
+    if p.degree >= _CERTIFY_FROM_DEGREE and _certified_irreducible(p):
+        return [(p.monic(), 1)]
     _, factors = _to_sympy(p).factor_list()
     out = [(_from_sympy(f).monic(), int(mult)) for f, mult in factors]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coefficients))

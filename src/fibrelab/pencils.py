@@ -8,8 +8,9 @@ of ``Disc_x(f_lam)``.  Node counts are exact, never numerical: at a rational
 root by Yun's algorithm over Q, and along a conjugate orbit, the roots of an
 irreducible factor m of the discriminant, by subresultant certificates over
 Q[lam]: the gcd degrees of the fibre are the least k for which m does not
-divide a principal subresultant coefficient psc_k, a minor of a Sylvester
-matrix with entries in Q[lam].
+divide a principal subresultant coefficient psc_k.  Every subresultant over
+Q[lam] comes from one subresultant remainder chain per integer node of lam,
+interpolated (:func:`fibrelab.polynomial.subresultant`).
 
 The total-space Euler number is assembled fibre-wise as
 
@@ -38,7 +39,7 @@ from .curves import (
     seeded_rationals,
 )
 from .factorization import irreducible_factors
-from .polynomial import UniPoly, subresultant_minor, sylvester_rows, unipoly_to_literal
+from .polynomial import UniPoly, subresultant, unipoly_to_literal
 
 NON_CONSTANT = "pencil is non-constant precondition violated"
 EVERYWHERE_SINGULAR = "pencil is everywhere-singular"
@@ -51,7 +52,6 @@ class Pencil:
     g: int
     f0: UniPoly
     f1: UniPoly
-    base_genus: int = 0
 
     def __post_init__(self):
         if self.g < 2:
@@ -149,17 +149,17 @@ class FibrationSummary:
 def pencil_discriminant(pencil: Pencil) -> UniPoly:
     """``Disc_x(f_lam)`` as an exact polynomial in lam.
 
-    Computed as the ``k = 0`` subresultant minor, the determinant of the
-    generic Sylvester matrix of (f_lam, d f_lam / dx) over Q[lam] (by
-    evaluation-interpolation), with the discriminant sign and the division
-    by the leading coefficient matching
+    Computed as the subresultant ``S_0(f_lam, d f_lam / dx)`` over Q[lam]
+    (:func:`fibrelab.polynomial.subresultant`: one remainder chain per
+    integer node, then interpolation), with the discriminant sign and the
+    division by the leading coefficient matching
     :func:`fibrelab.polynomial.discriminant`, so evaluating the result at a
     rational lam agrees with the scalar discriminant whenever the fibre
     keeps full degree.  Identically zero means every member is
     singular (e.g. f0 and f1 share a square factor) and raises.
     """
     f = UniPoly(tuple(pencil.coefficient_polys()))
-    res = subresultant_minor(sylvester_rows(f, f.derivative()), 0)
+    res = subresultant(f, f.derivative(), 0)[0]
     n = 2 * pencil.g + 2
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     quot, rem = divmod(sign * res, f.leading_coefficient)
@@ -171,19 +171,18 @@ def pencil_discriminant(pencil: Pencil) -> UniPoly:
 
 
 def _reduced_gcd(p: UniPoly, q: UniPoly, m: UniPoly, start: int):
-    """Degree of ``gcd(p, q)`` over ``Q[lam]/(m)``, and the rows of its subresultant.
+    """Degree of ``gcd(p, q)`` over ``Q[lam]/(m)``, and its subresultant mod ``m``.
 
     ``p`` and ``q`` have coefficients in ``Q[lam]`` and leading coefficients
     that ``m`` does not divide, and ``m`` divides ``psc_j(p, q)`` for every
-    ``j < start``.  Returns ``(k, rows, lead)`` with ``k`` the least index
-    whose ``psc_k`` is nonzero mod ``m``, ``rows = sylvester_rows(p, q, k)``
-    and ``lead = psc_k mod m``.
+    ``j < start``.  Returns ``(k, s)`` with ``k`` the least index whose
+    ``psc_k`` is nonzero mod ``m`` and ``s`` the subresultant ``S_k(p, q)``
+    with its coefficients reduced mod ``m``, so of degree ``k`` in x.
     """
     for k in range(start, q.degree + 1):
-        rows = sylvester_rows(p, q, k)
-        lead = subresultant_minor(rows, k) % m
-        if lead:
-            return k, rows, lead
+        s = [c % m for c in subresultant(p, q, k)]
+        if s[k]:
+            return k, UniPoly(tuple(s))
     # psc at k = deg q is a power of lc(q), which m does not divide
     raise ValueError(f"{DEGREE_DROP} along factor {m}")
 
@@ -199,18 +198,16 @@ def orbit_signature(f: UniPoly, m: UniPoly):
     ``u1 = S_d1(f, f')``, reduced mod ``m``, is a unit multiple of
     ``gcd(f, f')`` over ``Q[lam]/(m)``, and the same test on ``(u1, u1')``
     gives ``d2``, then on ``(u2, u2')`` gives ``d3``.  Reducing before the next
-    round keeps the entries of its Sylvester matrices below degree ``deg m``.
+    round keeps the coefficients of ``u`` below degree ``deg m`` in lam.
     """
     if not f.leading_coefficient % m:
         raise ValueError(f"{DEGREE_DROP} along factor {m}")
     signature = [0, 0, 0]
     u = f
     for i, start in enumerate((1, 0, 0)):
-        d, rows, lead = _reduced_gcd(u, u.derivative(), m, start)
-        signature[i] = d
-        if d < 2 or i == 2:  # a linear u is coprime to the constant u'
+        signature[i], u = _reduced_gcd(u, u.derivative(), m, start)
+        if signature[i] < 2:  # a linear u is coprime to the constant u'
             break
-        u = UniPoly(tuple(subresultant_minor(rows, j) % m for j in range(d)) + (lead,))
     return tuple(signature)
 
 
@@ -269,5 +266,5 @@ def euler_summary(g1: int, g2: int,
 def total_space_euler(pencil: Pencil) -> FibrationSummary:
     """Locate singular fibres and evaluate the Euler-number formula."""
     disc = pencil_discriminant(pencil)
-    summary = euler_summary(pencil.g, pencil.base_genus, _fibre_records(pencil, disc))
+    summary = euler_summary(pencil.g, 0, _fibre_records(pencil, disc))
     return replace(summary, disc_degree=disc.degree)

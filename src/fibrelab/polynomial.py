@@ -5,26 +5,22 @@ every emitted rational is automatically in lowest terms with a positive
 denominator.  ``UniPoly`` is deliberately coefficient-agnostic: any value
 type supporting ring arithmetic (``+``, ``-``, ``*``, ``bool``,
 ``int * value``) can serve as a coefficient of the ring operations
-(division and gcds also need ``/``), which is how a pencil member
-becomes one polynomial in ``x`` with coefficients in ``Q[lam]``: its
-Sylvester matrices and their minors (:func:`sylvester_rows`,
-:func:`subresultant_minor`) are then polynomials in ``lam``.
+(division also needs ``/``), which is how a pencil member becomes one
+polynomial in ``x`` with coefficients in ``Q[lam]``: its subresultants
+(:func:`subresultant`) are then polynomials in ``lam``.
 
 Yun's squarefree decomposition (:func:`squarefree_decomposition`) and
 :func:`is_squarefree` run in ``Z[x]``: denominators are cleared once, each gcd
 is a primitive polynomial remainder sequence, and the Yun quotients are
 exact integer divisions, which stay in ``Z[x]`` by Gauss's lemma because
 every divisor is primitive.  The result is over Q: Fractions are built only
-for the monic output factors.  ``UniPoly.gcd`` stays the coefficient-agnostic
-Euclid over the coefficient field.
+for the monic output factors.
 
-Those determinants, and the constant Sylvester determinant of
-:func:`resultant`, go through the one determinant routine
-(:func:`poly_matrix_det`), which works in integers: each row is scaled once
-to clear its denominators, the entries are evaluated at the integer nodes
-``0..N`` and each scalar determinant is taken fraction-free (Bareiss), and
-the values are interpolated by Newton forward differences over one common
-denominator, so Fractions are built only for the output.
+Subresultants, and :func:`resultant` as ``S_0``, run in ``Z[x]`` too: the
+coefficients are scaled to integers once, Brown's subresultant remainder
+chain runs at each node of a window of consecutive integers, and the values
+are interpolated by Newton forward differences over one common denominator.
+Both remainder sequences share one pseudo-remainder routine.
 
 Conventions (held fixed throughout the package):
 
@@ -231,13 +227,6 @@ class UniPoly:
             return self
         return self / self.leading_coefficient
 
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic greatest common divisor (Euclid over the coefficient field)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Substitution ``self(inner(x))`` by Horner's rule."""
         acc = UniPoly.zero()
@@ -291,30 +280,29 @@ def _int_sub(a, b):
     return out
 
 
-def _int_pseudo_remainder(a, b):
-    """A nonzero integer multiple of ``a mod b``, for integer lists with ``b`` nonzero.
+def _int_prem(a, b):
+    """Pseudo-remainder ``lc(b)^(deg a - deg b + 1) * (a mod b)`` of integer lists, ``b`` nonzero.
 
-    Each step scales the running remainder by ``lc(b) / g`` only, ``g`` the
-    gcd of the two leading coefficients, instead of by ``lc(b)`` itself.
+    One step per power ``x^shift``, ``shift = deg a - deg b, ..., 0``, each
+    scaling the running remainder by ``lc(b)``, so the power of ``lc(b)`` is
+    exact even where a step cancels more than the top coefficient; ``a``
+    itself when ``deg a < deg b``.
     """
     n = len(b) - 1
     lead = b[-1]
-    r = a
-    while len(r) > n:
-        top = r[-1]
-        g = int_gcd(top, lead)
-        ra, rb = lead // g, top // g
-        shift = len(r) - 1 - n
-        r = [ra * c for c in r[:shift]] + [ra * c - rb * d for c, d in zip(r[shift:-1], b)]
-        while r and not r[-1]:
-            r.pop()
+    r = list(a)
+    for shift in range(len(a) - 1 - n, -1, -1):
+        top = r.pop()
+        r = [lead * c for c in r[:shift]] + [lead * c - top * d for c, d in zip(r[shift:], b)]
+    while r and not r[-1]:
+        r.pop()
     return r
 
 
 def _int_gcd(a, b):
     """Primitive gcd in ``Z[x]`` by a primitive remainder sequence; ``a`` nonzero."""
     while b:
-        a, b = b, _int_pseudo_remainder(a, b)
+        a, b = b, _int_prem(a, b)
         if b:
             b = _primitive(b)
     return _primitive(a)
@@ -387,65 +375,24 @@ def is_squarefree(p: UniPoly) -> bool:
     return len(_int_gcd(p, _int_derivative(p))) == 1
 
 
-def _bareiss_det(mat) -> int:
-    """Fraction-free determinant of an integer matrix (destructive)."""
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k] != 0:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = mat[i], mat[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * mat[-1][-1]
-
-
-def sylvester_rows(p: UniPoly, q: UniPoly, k: int = 0):
-    """Rows of the ``k``-th Sylvester matrix of ``p`` and ``q``, q-block on top.
-
-    With ``m = deg p`` and ``n = deg q``, the rows are the coefficient vectors
-    of ``x^(m-k-1) q, ..., q`` and then ``x^(n-k-1) p, ..., p`` over the
-    monomials ``x^(m+n-k-1), ..., x, 1``.  ``k = 0`` is the Sylvester matrix of
-    :func:`resultant`; :func:`subresultant_minor` reads the ``k``-th
-    subresultant off the others.  Entries are the coefficients themselves
-    (Fractions, or polynomials in a parameter) padded with ``0``.
-    """
-    m, n = p.degree, q.degree
-    size = m + n - k
-    rows = []
-    for poly, count in ((q, m - k), (p, n - k)):
-        desc = list(reversed(poly.coefficients))
-        for shift in range(count):
-            rows.append([0] * shift + desc + [0] * (size - shift - len(desc)))
-    return rows
-
-
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:
     """Resultant of ``p`` and ``q``; see the module docstring for orientation.
 
     Zero iff ``p`` and ``q`` share a root over the complex numbers (both
-    nonzero); antisymmetric up to the sign ``(-1)^(deg p * deg q)``.  The
-    Sylvester matrix has constant entries, so its determinant is the
-    constant term of :func:`poly_matrix_det`.
+    nonzero); antisymmetric up to the sign ``(-1)^(deg p * deg q)``.  It is
+    the subresultant ``S_0``; a constant ``q`` leaves only its diagonal
+    block, ``lc(q)^deg p``.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("resultant undefined for two zero polynomials")
     if p.is_zero or q.is_zero:
         return Fraction(0)
-    det = poly_matrix_det(sylvester_rows(p, q))
-    return det.coefficients[0] if det else Fraction(0)
+    if p.degree < q.degree:
+        return (-1) ** (p.degree * q.degree) * resultant(q, p)
+    if q.degree == 0:
+        return q.coefficients[0] ** p.degree
+    s0 = subresultant(p, q, 0)[0]
+    return s0.coefficients[0] if s0 else Fraction(0)
 
 
 def discriminant(p: UniPoly) -> Fraction:
@@ -458,81 +405,125 @@ def discriminant(p: UniPoly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# determinants of polynomial matrices
+# subresultants: one remainder chain per integer node, then interpolation
 # ---------------------------------------------------------------------------
 
 
-def poly_matrix_det(rows) -> UniPoly:
-    """Determinant of a square matrix whose entries are UniPolys, ints or Fractions.
+def _int_subresultants(a, b) -> dict:
+    """Every nonzero subresultant ``{j: S_j}`` of integer lists, ``deg a >= deg b``.
 
-    Evaluation-interpolation in integers.  Each row is scaled once by the
-    lcm of the denominators of all its coefficients, so the integer matrix
-    has determinant ``s`` times the wanted one, ``s`` the product of the
-    row scales.  That determinant has degree at most ``N``, the sum over
-    rows of the largest entry degree, so its values at the integer nodes
-    ``0..N`` (integer Horner, then :func:`_bareiss_det`) determine it.
+    ``S_j`` (``j <= deg b``, ``j < deg a``) is the determinant polynomial of
+    the Sylvester rows ``x^(n-j-1) a, ..., a, x^(m-j-1) b, ..., b`` with
+    ``m = deg a``, ``n = deg b`` and the ``a``-block on top; ``S_n`` is
+    ``lc(b)^(m-n-1) b``.  Brown's subresultant PRS with Lazard's step over a
+    gap, as in Ducos, "Optimizations of the subresultant algorithm", JPAA 145
+    (2000): with ``S_d`` regular of leading coefficient ``s`` and ``S_(d-1)``
+    of degree ``e``, the ``S_j`` strictly between are zero,
+    ``S_e = lc(S_(d-1))^(d-e-1) S_(d-1) / s^(d-e-1)`` and
+    ``S_(e-1) = prem(S_d, -S_(d-1)) / (s^(d-e) lc(S_d))``.  Both divisions
+    are exact in ``Z[x]``, so a zero ``psc_j`` (a defective chain) needs no
+    other route.
+    """
+    chain = {}
+    delta = len(a) - len(b)
+    if delta:
+        chain[len(b) - 1] = [b[-1] ** (delta - 1) * c for c in b]
+    s = b[-1] ** delta
+    a, b = b, _int_prem(a, [-c for c in b])
+    while b:
+        d, e = len(a) - 1, len(b) - 1
+        chain[d - 1] = c = b
+        delta = d - e
+        if delta > 1:
+            c = chain[e] = _int_exact_quotient([b[-1] ** (delta - 1) * x for x in b],
+                                               [s ** (delta - 1)])
+        if not e:
+            break
+        b = _int_exact_quotient(_int_prem(a, [-x for x in b]), [s ** delta * a[-1]])
+        a, s = c, c[-1]
+    return chain
+
+
+def _int_horner(coeffs, x: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def _interpolate(values, start: int, den: int) -> UniPoly:
+    """The polynomial of degree ``< len(values)`` taking ``values[i] / den`` at ``start + i``.
+
     Newton forward differences of integer values on consecutive nodes are
-    integers; the Newton form ``sum_k D^k y_0 x(x-1)...(x-k+1) / k!`` is
-    summed by Horner's rule over the common denominator ``N! s``, so
+    integers; the Newton form ``sum_k D^k y_0 (x - x_0)...(x - x_(k-1)) / k!``
+    is summed by Horner's rule over the common denominator ``N! den``, so
     Fractions are built only for the output coefficients.
     """
-    if not rows:
-        return UniPoly.one()
-    int_rows = []
-    scale = 1
-    bound = 0
-    for row in rows:
-        entries = [e.coefficients if isinstance(e, UniPoly) else (e,) if e else () for e in row]
-        width = max(map(len, entries))
-        if not width:
-            return UniPoly.zero()  # an all-zero row
-        den = lcm(*(c.denominator for coeffs in entries for c in coeffs))
-        int_rows.append([[c.numerator * (den // c.denominator) for c in coeffs]
-                         for coeffs in entries])
-        scale *= den
-        bound += width - 1
-    values = []
-    for node in range(bound + 1):
-        mat = []
-        for row in int_rows:
-            scalar_row = []
-            for coeffs in row:
-                value = 0
-                for c in reversed(coeffs):
-                    value = value * node + c
-                scalar_row.append(value)
-            mat.append(scalar_row)
-        values.append(_bareiss_det(mat))
-    # in place: values[k] becomes the k-th forward difference at node 0
+    values = list(values)
+    bound = len(values) - 1
+    # in place: values[k] becomes the k-th forward difference at the first node
     for k in range(1, bound + 1):
         for i in range(bound, k - 1, -1):
             values[i] -= values[i - 1]
-    # Horner in the falling-factorial basis; weight runs through N!/k!
+    # Horner in the Newton basis; weight runs through N!/k!
     acc = [values[bound]]
     weight = 1
     for k in range(bound - 1, -1, -1):
         weight *= k + 1
-        acc = ([values[k] * weight - k * acc[0]]
-               + [a - k * b for a, b in zip(acc, acc[1:] + [0])])
-    den = weight * scale
+        node = start + k
+        acc = ([values[k] * weight - node * acc[0]]
+               + [a - node * b for a, b in zip(acc, acc[1:] + [0])])
+    den *= weight
     return UniPoly(tuple(Fraction(a, den) for a in acc))
 
 
-def subresultant_minor(rows, j: int) -> UniPoly:
-    """Coefficient of ``x^j`` in the subresultant ``S_k``, ``rows = sylvester_rows(p, q, k)``.
+def subresultant(p: UniPoly, q: UniPoly, k: int) -> list:
+    """Coefficients ``[c_0, ..., c_k]`` of the ``k``-th subresultant ``S_k(p, q)``.
 
-    It is the determinant of the first ``len(rows) - 1`` columns followed by
-    the column of ``x^j``, for ``j <= k``.  ``j = k`` gives the principal
-    subresultant coefficient ``psc_k``, and ``k = j = 0`` the resultant.
-    Over a field and for ``deg p > deg q >= k``, ``deg gcd(p, q)`` is the
-    least ``k`` with ``psc_k != 0``, and ``S_k`` is then a nonzero multiple
-    of the gcd (Basu, Pollack and Roy, *Algorithms in Real Algebraic
-    Geometry*, ch. 8).  Both statements pass to a residue field of the
-    entries, such as ``Q[lam]/(m)``, when the map keeps ``deg p`` and
-    ``deg q``, because determinants commute with ring maps.
+    ``p`` and ``q`` have coefficients in Q or in ``Q[lam]`` (UniPolys), with
+    ``m = deg p >= n = deg q >= k`` and ``k < m``; each ``c_j`` is a UniPoly in
+    ``lam``.  ``c_j`` is the minor of the first ``m + n - 2k - 1`` columns and
+    the column of ``x^j`` in the Sylvester rows ``x^(m-k-1) q, ..., q,
+    x^(n-k-1) p, ..., p`` over ``x^(m+n-k-1), ..., 1`` (q-block on top), so
+    ``c_k`` is ``psc_k`` and ``S_0`` the resultant.  Over a field and for
+    ``m > n >= k``, ``deg gcd(p, q)`` is the least ``k`` with ``psc_k != 0``,
+    and ``S_k`` is then a nonzero multiple of the gcd (Basu, Pollack and Roy,
+    *Algorithms in Real Algebraic Geometry*, ch. 8).  Both pass to a residue
+    field of the coefficients such as ``Q[lam]/(mu)`` when the map keeps
+    both degrees, because determinants commute with ring maps.
+
+    In integers: ``p`` and ``q`` are scaled once to clear denominators, which
+    scales ``S_k`` by ``sp^(n-k) sq^(m-k)``, and the ``c_j`` have degree at
+    most ``N = (n-k) deg_lam p + (m-k) deg_lam q``.  Node-window rule: the
+    nodes are the first ``N + 1`` consecutive integers from 0 up at which
+    neither leading coefficient vanishes, since only there does evaluation
+    keep both degrees and so commute with ``S_k``.  Sign rule: the chain of
+    :func:`_int_subresultants` puts the ``p``-block on top, so its ``S_k`` is
+    multiplied by ``(-1)^((m-k)(n-k))``.  Each ``c_j`` is then interpolated.
     """
-    column = len(rows[0]) - 1 - j
-    return poly_matrix_det([row[:len(rows) - 1] + [row[column]] for row in rows])
+    m, n = p.degree, q.degree
+    if not 0 <= k <= n <= m or k == m:
+        raise ValueError(f"subresultant S_{k} needs deg p >= deg q >= k and k < deg p")
+    int_polys, scale, bound = [], 1, 0
+    for poly, rows in ((p, n - k), (q, m - k)):
+        coeffs = [c.coefficients if isinstance(c, UniPoly) else (c,) for c in poly.coefficients]
+        den = lcm(*(c.denominator for cs in coeffs for c in cs))
+        int_polys.append([[c.numerator * (den // c.denominator) for c in cs] for cs in coeffs])
+        scale *= den ** rows
+        bound += rows * (max(map(len, coeffs)) - 1)
+    int_p, int_q = int_polys
+    start = node = 0
+    while node <= start + bound:
+        if not (_int_horner(int_p[-1], node) and _int_horner(int_q[-1], node)):
+            start = node + 1
+        node += 1
+    sign = -1 if (m - k) * (n - k) % 2 else 1
+    values = []
+    for node in range(start, start + bound + 1):
+        s_k = _int_subresultants([_int_horner(c, node) for c in int_p],
+                                 [_int_horner(c, node) for c in int_q]).get(k, [])
+        values.append([sign * c for c in s_k] + [0] * (k + 1 - len(s_k)))
+    return [_interpolate(column, start, scale) for column in zip(*values)]
 
 
 # ---------------------------------------------------------------------------

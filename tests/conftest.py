@@ -53,12 +53,12 @@ def gaussian_det(rows) -> Fraction:
 
 
 def lagrange_poly_matrix_det(rows) -> UniPoly:
-    """Oracle for ``poly_matrix_det``: the Fraction route it replaced.
+    """Determinant of a matrix with entries in ``Q[lam]`` (UniPolys or scalars).
 
-    The entries (UniPolys or scalars) are evaluated at the rational nodes
-    ``0..N``, ``N`` the sum over rows of the largest entry degree, each
-    scalar determinant is taken by :func:`gaussian_det`, and the values are
-    interpolated by Lagrange's formula over Fraction.
+    The entries are evaluated at the rational nodes ``0..N``, ``N`` the sum
+    over rows of the largest entry degree, each scalar determinant is taken
+    by :func:`gaussian_det`, and the values are interpolated by Lagrange's
+    formula over Fraction.
     """
     norm = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in rows]
     bound = sum(max((e.degree for e in row), default=0) for row in norm)
@@ -75,10 +75,50 @@ def lagrange_poly_matrix_det(rows) -> UniPoly:
     return result
 
 
+def sylvester_rows(p: UniPoly, q: UniPoly, k: int = 0):
+    """Rows of the ``k``-th Sylvester matrix of ``p`` and ``q``, q-block on top.
+
+    With ``m = deg p`` and ``n = deg q``: the coefficient vectors of
+    ``x^(m-k-1) q, ..., q`` and then ``x^(n-k-1) p, ..., p`` over the monomials
+    ``x^(m+n-k-1), ..., x, 1``, padded with ``0``.
+    """
+    m, n = p.degree, q.degree
+    size = m + n - k
+    rows = []
+    for poly, count in ((q, m - k), (p, n - k)):
+        desc = list(reversed(poly.coefficients))
+        for shift in range(count):
+            rows.append([0] * shift + desc + [0] * (size - shift - len(desc)))
+    return rows
+
+
+def sylvester_minor(p: UniPoly, q: UniPoly, k: int, j: int) -> UniPoly:
+    """Oracle for ``subresultant(p, q, k)[j]``: the Sylvester minor it replaced.
+
+    The determinant of the first ``m + n - 2k - 1`` columns of
+    :func:`sylvester_rows` and the column of ``x^j``, by :func:`gaussian_det`
+    for rational entries and by :func:`lagrange_poly_matrix_det` for entries
+    in ``Q[lam]``; a UniPoly in ``lam`` either way.
+    """
+    rows = sylvester_rows(p, q, k)
+    column = len(rows[0]) - 1 - j
+    minor = [row[:len(rows) - 1] + [row[column]] for row in rows]
+    if any(isinstance(c, UniPoly) for c in p.coefficients + q.coefficients):
+        return lagrange_poly_matrix_det(minor)
+    return UniPoly.constant(gaussian_det(minor))
+
+
+def fraction_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic greatest common divisor by Euclid over Fraction."""
+    while not q.is_zero:
+        p, q = q, p % q
+    return p.monic()
+
+
 def fraction_squarefree_decomposition(p: UniPoly):
     """Oracle for ``squarefree_decomposition``: Yun by Euclid over Fraction.
 
-    The route the integer one replaced: monic gcds by ``UniPoly.gcd`` and
+    The route the integer one replaced: monic gcds by :func:`fraction_gcd` and
     quotients by ``UniPoly.__floordiv__``, all over Q.
     """
     if p.is_zero:
@@ -86,7 +126,7 @@ def fraction_squarefree_decomposition(p: UniPoly):
     p = p.monic()
     if p.degree == 0:
         return []
-    d = p.gcd(p.derivative())
+    d = fraction_gcd(p, p.derivative())
     if d.degree == 0:
         return [(p, 1)]
     b = p // d
@@ -94,7 +134,7 @@ def fraction_squarefree_decomposition(p: UniPoly):
     out = []
     i = 1
     while b.degree > 0:
-        a = b.gcd(z)
+        a = fraction_gcd(b, z)
         if a.degree > 0:
             out.append((a, i))
         b = b // a
@@ -107,7 +147,7 @@ def fraction_is_squarefree(p: UniPoly) -> bool:
     """Oracle for ``is_squarefree``: one Euclid gcd over Fraction."""
     if p.is_zero:
         return False
-    return p.degree <= 0 or p.gcd(p.derivative()).degree == 0
+    return p.degree <= 0 or fraction_gcd(p, p.derivative()).degree == 0
 
 
 def number_field_signature(f: UniPoly, m: UniPoly):

@@ -28,7 +28,7 @@ from fibrelab.pencils import (
 )
 from fibrelab.polynomial import UniPoly, discriminant, unipoly_from_literal
 
-from conftest import number_field_signature
+from conftest import fraction_gcd, number_field_signature
 
 # the pencil between x^6 - 1 and x^6 - x: small, with one rational singular
 # parameter (a base point of the family sits at (1, 0)) and one quartic orbit
@@ -93,6 +93,32 @@ class TestPencilDiscriminant:
         for lam in (Fraction(1, 3), Fraction(-2, 5)):
             assert disc(lam) == discriminant(pencil.fibre_at(lam))
 
+    def test_leading_coefficient_zero_at_an_interpolation_node(self):
+        # lc(f_lam) = 1 - lam/2 vanishes at the node 2, so the node window
+        # of the subresultant moves past it
+        f0 = seeded_pencil(2, 0).f0
+        f1 = UniPoly.from_roots([1, 2, 3, 5, 7, 11], leading=Fraction(1, 2))
+        pencil = Pencil(2, f0, f1)
+        assert pencil.fibre_at(2).degree == 5
+        disc = pencil_discriminant(pencil)
+        for lam in (Fraction(1, 3), Fraction(-2, 5), Fraction(1), Fraction(3)):
+            assert disc(lam) == discriminant(pencil.fibre_at(lam))
+        summary = total_space_euler(pencil)
+        assert (summary.e_total, summary.disc_degree, summary.euler_exact) == (5, 10, True)
+        assert summary.to_dict()["fibres"] == [
+            {"param": "187/185", "conjugates": 1, "nodes": 1, "class": "IrreducibleNodal"},
+            {"minpoly": [
+                "-15873128063107060361527296/92336752143174681934395015607",
+                "-854005701150107973753380864/92336752143174681934395015607",
+                "318316826381268587341076557292/1015704273574921501278345171677",
+                "-2441463480652343365118898391842/1015704273574921501278345171677",
+                "7792287030457191957210368747165/1015704273574921501278345171677",
+                "-12782376633418149008154889487104/1015704273574921501278345171677",
+                "879650220657151565116866878778/78131097967301653944488090129",
+                "-2866246486198476225240725138/546371314456654922688727903",
+                "1"], "conjugates": 8, "nodes": 1, "class": "IrreducibleNodal"},
+        ]
+
     def test_shared_square_factor_is_everywhere_singular(self):
         sq = UniPoly.from_roots([1]) ** 2
         f0 = sq * UniPoly.from_roots([2, 3, 4, 5])
@@ -144,7 +170,7 @@ class TestSingularFibres:
         for i, m1 in enumerate(orbits):
             assert m1.leading_coefficient == 1
             for m2 in orbits[i + 1:]:
-                assert m1.gcd(m2).degree == 0
+                assert fraction_gcd(m1, m2).degree == 0
 
     def test_demo_pencil_census(self):
         records = singular_fibres(DEMO)

@@ -12,21 +12,21 @@ from fibrelab.polynomial import (
     _int_exact_quotient,
     discriminant,
     is_squarefree,
-    poly_matrix_det,
     resultant,
     squarefree_decomposition,
-    subresultant_minor,
-    sylvester_rows,
+    subresultant,
     unipoly_from_literal,
     unipoly_to_literal,
 )
 
 from conftest import (
+    fraction_gcd,
     fraction_is_squarefree,
     fraction_squarefree_decomposition,
     gaussian_det,
-    lagrange_poly_matrix_det,
     random_unipoly,
+    sylvester_minor,
+    sylvester_rows,
     to_sympy,
 )
 
@@ -109,7 +109,7 @@ class TestSquarefreeDecomposition:
         for i, (f, _) in enumerate(decomp):
             assert is_squarefree(f)
             for g, _ in decomp[i + 1:]:
-                assert f.gcd(g).degree == 0
+                assert fraction_gcd(f, g).degree == 0
 
 
 def planted_poly(rng, max_degree) -> UniPoly:
@@ -241,8 +241,8 @@ class TestResultant:
         assert resultant(c, UniPoly.constant(7)) == 1
 
     def test_fraction_coefficients_against_gaussian_det(self, rng):
-        # rational coefficients and the (p, p') pair, through an oracle that
-        # shares no code with poly_matrix_det
+        # rational coefficients, deg q above and below deg p, and the (p, p')
+        # pair, through an oracle that shares no code with subresultant
         for _ in range(20):
             p = UniPoly(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                               for _ in range(rng.randint(2, 7))) + (Fraction(rng.randint(1, 5), 3),))
@@ -311,19 +311,85 @@ class TestGaussianDetOracle:
         assert gaussian_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
 
 
-def minor(rows, j) -> Fraction:
-    """A subresultant minor of a rational matrix, as a scalar."""
-    return subresultant_minor(rows, j)(Fraction(0))
+def rational_poly(rng, degree, max_den=7) -> UniPoly:
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, max_den)) for _ in range(degree)]
+    return UniPoly(tuple(coeffs) + (Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, max_den)),))
+
+
+def lam_poly(rng, degree, max_den=5) -> UniPoly:
+    return UniPoly(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, max_den))
+                         for _ in range(degree + 1)))
 
 
 class TestSubresultants:
-    def test_k0_minor_is_the_resultant(self, rng):
-        for _ in range(20):
-            p, q = random_unipoly(rng, 5), random_unipoly(rng, 5)
-            if p.degree < 1 or q.degree < 1:
-                continue
-            rows = sylvester_rows(p, q)
-            assert minor(rows, 0) == gaussian_det(rows)
+    """``subresultant`` against the Sylvester minors of ``conftest.sylvester_minor``."""
+
+    @staticmethod
+    def check_every_k(p, q):
+        """Compare ``S_k`` for every ``k <= deg q``, ``k < deg p``; return the
+        number of ``k`` compared and of defective ``S_k`` (nonzero, ``psc_k = 0``)."""
+        ks = range(min(q.degree, p.degree - 1) + 1)
+        defective = 0
+        for k in ks:
+            got = subresultant(p, q, k)
+            assert got == [sylvester_minor(p, q, k, j) for j in range(k + 1)], (p, q, k)
+            defective += not got[k] and any(got)
+        return len(ks), defective
+
+    def test_random_pairs_with_equal_degrees_and_gaps(self, rng):
+        cases = 0
+        for _ in range(300):
+            m = rng.randint(1, 8)
+            n = rng.choice([m, m - 1, rng.randint(0, m)])
+            cases += self.check_every_k(rational_poly(rng, m), rational_poly(rng, n))[0]
+        assert cases >= 1000
+
+    def test_degree_gaps(self, rng):
+        # deg p - deg q > 1: S_(deg q) = lc(q)^(deg p - deg q - 1) q opens the chain
+        cases = 0
+        for _ in range(100):
+            n = rng.randint(0, 5)
+            p, q = rational_poly(rng, n + rng.randint(2, 5)), rational_poly(rng, n)
+            cases += self.check_every_k(p, q)[0]
+            k = q.degree
+            assert subresultant(p, q, k) == [UniPoly.constant(c * q.leading_coefficient
+                                                              ** (p.degree - k - 1))
+                                             for c in q.coefficients]
+        assert cases >= 250
+
+    def test_defective_chains(self, rng):
+        # planted repeated roots give (f, f') a nontrivial gcd, and polynomials
+        # in x^2 lose two degrees per remainder, so psc_j = 0 with S_j != 0
+        cases = defective = 0
+        for _ in range(150):
+            roots = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            f = UniPoly.from_roots(roots * rng.randint(2, 3)) * rational_poly(rng, rng.randint(0, 2))
+            even_p = rational_poly(rng, rng.randint(1, 4)).compose(X**2)
+            even_q = rational_poly(rng, rng.randint(0, even_p.degree // 2 - 1)).compose(X**2) \
+                if even_p.degree > 2 else UniPoly.constant(3)
+            for p, q in ((f, f.derivative()), (even_p, even_q), (even_p * X, even_q)):
+                counted = self.check_every_k(p, q)
+                cases += counted[0]
+                defective += counted[1]
+        assert cases >= 800 and defective >= 50
+
+    def test_coefficients_in_q_lam_with_vanishing_leading_coefficients(self, rng):
+        # lc(p) and lc(q) vanish at small integers, so the node window moves
+        cases = 0
+        for _ in range(120):
+            m = rng.randint(1, 4)
+            n = rng.randint(0, m)
+            coeffs = []
+            for degree in (m, n):
+                lead = UniPoly.from_roots([rng.randint(0, 4) for _ in range(rng.randint(1, 2))],
+                                          leading=Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+                coeffs.append(tuple(lam_poly(rng, rng.randint(0, 1)) for _ in range(degree))
+                              + (lead,))
+            p, q = (UniPoly(c) for c in coeffs)
+            if rng.random() < 0.3:
+                q = p.derivative()
+            cases += self.check_every_k(p, q)[0]
+        assert cases >= 250
 
     def test_least_nonvanishing_psc_is_gcd_degree(self, rng):
         # planted common factors of degree 0..3; S_k is a multiple of the gcd
@@ -333,25 +399,34 @@ class TestSubresultants:
             q = common * random_unipoly(rng, 3)
             if q.degree < 1 or p.degree <= q.degree:
                 continue
-            gcd = p.gcd(q)
-            k = next(k for k in range(q.degree + 1) if minor(sylvester_rows(p, q, k), k))
+            gcd = fraction_gcd(p, q)
+            k = next(k for k in range(q.degree + 1) if subresultant(p, q, k)[k])
             assert k == gcd.degree
-            rows = sylvester_rows(p, q, k)
-            assert UniPoly(tuple(minor(rows, j) for j in range(k + 1))).monic() == gcd
+            s_k = UniPoly(tuple(c.coefficients[0] if c else 0 for c in subresultant(p, q, k)))
+            assert s_k.monic() == gcd
 
-    def test_minors_commute_with_specialisation(self):
-        # entries in Q[lam]: evaluating a minor at a rational lam gives the
-        # minor of the specialised pair, since the degrees in x are kept
+    def test_subresultants_commute_with_specialisation(self):
+        # coefficients in Q[lam]: evaluating S_k at a rational lam gives S_k of
+        # the specialised pair, since the degrees in x are kept
         lam, one = UniPoly.x(), UniPoly.one()
         p = UniPoly((lam * lam, -(2 * lam), one)) * UniPoly((-one, one))  # (x - lam)^2 (x - 1)
         q = p.derivative()
         for value in (Fraction(1), Fraction(2), Fraction(-1, 3)):
             special = UniPoly(tuple(c(value) for c in p.coefficients))
             for k in range(q.degree + 1):
-                rows = sylvester_rows(p, q, k)
-                special_rows = sylvester_rows(special, special.derivative(), k)
-                for j in range(k + 1):
-                    assert subresultant_minor(rows, j)(value) == minor(special_rows, j)
+                assert ([c(value) for c in subresultant(p, q, k)]
+                        == [c(Fraction(0)) for c in subresultant(special, special.derivative(), k)])
+
+    @pytest.mark.parametrize("p, q, k", [
+        (X**2, X**3, 0),   # deg p < deg q
+        (X**2, X, 2),      # k = deg p
+        (X**2 + ONE, X**2, 2),
+        (X**3, X, -1),
+        (X**3, X, 2),      # k > deg q
+    ])
+    def test_out_of_range_index_rejected(self, p, q, k):
+        with pytest.raises(ValueError, match="subresultant"):
+            subresultant(p, q, k)
 
 
 class TestDiscriminant:
@@ -387,64 +462,6 @@ class TestDiscriminant:
             return
         repeated = any(m >= 2 for _, m in squarefree_decomposition(p))
         assert (discriminant(p) == 0) == repeated
-
-
-class TestInterpolationAndPolyDet:
-    def test_interpolation_recovers_polynomial(self, rng):
-        # a 1x1 determinant is its entry, so this is interpolation alone
-        p = random_unipoly(rng, 6)
-        assert poly_matrix_det([[p]]) == p == lagrange_poly_matrix_det([[p]])
-
-    @staticmethod
-    def random_entry(rng, max_den=7):
-        kind = rng.random()
-        if kind < 0.2:
-            return 0
-        if kind < 0.3:
-            return rng.randint(-9, 9)
-        if kind < 0.4:
-            return Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
-        return UniPoly(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
-                             for _ in range(rng.randint(1, 4))))
-
-    def test_matches_lagrange_oracle_on_random_matrices(self, rng):
-        for size in range(7):
-            for _ in range(12):
-                rows = [[self.random_entry(rng) for _ in range(size)] for _ in range(size)]
-                assert poly_matrix_det(rows) == lagrange_poly_matrix_det(rows)
-
-    def test_matches_lagrange_oracle_with_denominators_in_one_row(self, rng):
-        for size in range(1, 7):
-            rows = [[self.random_entry(rng, max_den=1) for _ in range(size)]
-                    for _ in range(size)]
-            rows[rng.randrange(size)] = [self.random_entry(rng) for _ in range(size)]
-            assert poly_matrix_det(rows) == lagrange_poly_matrix_det(rows)
-
-    def test_matches_lagrange_oracle_on_constant_matrix(self):
-        rows = [[Fraction(1, 2), UniPoly.constant(Fraction(-3, 7)), 5],
-                [0, UniPoly.constant(2), Fraction(4, 3)],
-                [UniPoly.constant(1), 1, Fraction(-1, 6)]]
-        det = poly_matrix_det(rows)
-        assert det == lagrange_poly_matrix_det(rows)
-        assert det == UniPoly.constant(Fraction(-479, 42))
-
-    @pytest.mark.parametrize("rows", [
-        [[0]],
-        [[UniPoly.zero(), 0], [1, Fraction(2, 3)]],  # degree bound -1 + 0 < 0
-        [[0, 0, 0], [X, ONE, 2], [X**3, Fraction(1, 5), X - ONE]],
-    ])
-    def test_all_zero_row_gives_zero(self, rows):
-        assert poly_matrix_det(rows) == UniPoly.zero() == lagrange_poly_matrix_det(rows)
-
-    def test_poly_matrix_det_matches_direct_expansion(self):
-        t = UniPoly.x()
-        rows = [[t, ONE], [ONE, t]]
-        assert poly_matrix_det(rows) == t**2 - ONE
-
-    def test_poly_matrix_det_scalar_matrix(self):
-        rows = [[UniPoly.constant(2), UniPoly.constant(1)],
-                [UniPoly.constant(1), UniPoly.constant(2)]]
-        assert poly_matrix_det(rows) == UniPoly.constant(3)
 
 
 class TestLiterals:
