@@ -3,9 +3,9 @@
 
 Streams the (chi, epsilon, K2-window) rows as CSV on stdout; with
 ``--validate`` every integer K2 in every window is pushed back through the
-full inequality validator (a failure would indicate an internal
-inconsistency).  ``--plot`` sketches the admissible K2 region per chi on
-stderr.
+full inequality validator; a failure would indicate an internal
+inconsistency, and the script then exits with status 1.  ``--plot``
+sketches the admissible K2 region per chi on stderr.
 
     python scripts/geography_scan.py --g2 0 --chi-max 8 --validate --plot
 """
@@ -58,6 +58,9 @@ def main() -> None:
                 inside = any(a <= k2 <= b for a, b in windows[chi])
                 cells.append("#" if inside else ".")
             print(f"chi={chi:>3} |{''.join(cells)}|", file=sys.stderr)
+
+    if failures:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

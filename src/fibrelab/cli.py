@@ -3,14 +3,13 @@
 Machine-readable output only on stdout (JSON, or CSV for scans); notes and
 warnings on stderr.  Exit codes: 0 success, 1 domain error (reported as
 ``{"error": ...}``), 2 malformed input.  Identical invocations produce
-byte-identical output; ``FIBRELAB_SEED`` overrides ``--seed`` when set.
+byte-identical output.  Argparse picks the handler; :func:`main` writes its payload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import curves, geography, linear_systems, pencils
@@ -49,17 +48,13 @@ def _load_params_file(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_construct(args) -> int:
-    seed = int(os.environ.get("FIBRELAB_SEED", args.seed))
+def _run_construct(args) -> dict:
     if args.kind == "split":
-        model = curves.construct_split(args.genus, seed)
-    else:
-        model = curves.construct_nodal(args.genus, args.nodes, seed)
-    _emit(model.to_dict())
-    return 0
+        return curves.construct_split(args.genus, args.seed).to_dict()
+    return curves.construct_nodal(args.genus, args.nodes, args.seed).to_dict()
 
 
-def _run_classify(args) -> int:
+def _run_classify(args) -> dict:
     if args.file:
         params = _load_params_file(args.file)
         try:
@@ -70,11 +65,10 @@ def _run_classify(args) -> int:
         if args.f is None or args.genus is None:
             raise LiteralError("classify needs --genus and --f (or --file)")
         model = curves.HyperellipticModel(args.genus, _parse_poly(args.f))
-    _emit(curves.classify(model).to_dict())
-    return 0
+    return curves.classify(model).to_dict()
 
 
-def _run_pencil(args) -> int:
+def _run_pencil(args) -> dict:
     if args.file:
         params = _load_params_file(args.file)
         try:
@@ -93,8 +87,7 @@ def _run_pencil(args) -> int:
     if not summary.euler_exact:
         print("warning: a fibre has a worse-than-node singularity; "
               "e_total is a certified lower bound only.", file=sys.stderr)
-    _emit({"pencil": pencil.to_dict(), "summary": summary.to_dict()})
-    return 0
+    return {"pencil": pencil.to_dict(), "summary": summary.to_dict()}
 
 
 def _bidegree(args) -> linear_systems.Bidegree:
@@ -137,7 +130,7 @@ _SYSTEMS_QUERIES = {
 }
 
 
-def _run_systems(args) -> int:
+def _run_systems(args) -> dict:
     def need(*names):
         missing = [n for n in names if getattr(args, n) is None]
         if missing:
@@ -151,8 +144,7 @@ def _run_systems(args) -> int:
     except KeyError:
         raise LiteralError(f"unknown {surface} query {query!r}") from None
     need(*flags)
-    _emit({"surface": surface, "query": query, "result": build(args)})
-    return 0
+    return {"surface": surface, "query": query, "result": build(args)}
 
 
 def _invariants_from_args(args) -> geography.SurfaceInvariants:
@@ -161,49 +153,52 @@ def _invariants_from_args(args) -> geography.SurfaceInvariants:
         g1=args.g1, g2=args.g2, epsilon=args.epsilon, d=getattr(args, "d", None))
 
 
-def _run_invariants(args) -> int:
-    op = args.operation
-    if op == "noether-complete":
-        _emit(geography.noether_complete(_invariants_from_args(args)).to_dict())
-    elif op == "blow-up":
-        _emit(geography.blow_up(_invariants_from_args(args), args.n).to_dict())
-    elif op == "chi-bounds":
-        _emit(geography.fibration_chi_bounds(_invariants_from_args(args)).to_dict())
-    elif op == "xiao-validate":
-        case = geography.XiaoCase.CASE_I if args.case == "i" else geography.XiaoCase.CASE_II
-        _emit(geography.xiao_validate(_invariants_from_args(args), case).to_dict())
-    elif op == "general-type":
-        _emit(geography.general_type_checks(
-            _invariants_from_args(args), args.minimal).to_dict())
-    elif op == "elliptic-c2":
-        c2, chi = geography.elliptic_c2(args.d)
-        _emit({"c2": c2, "chi": chi})
-    elif op == "slope":
-        nu, verdict = geography.kodaira_slope(args.k2, args.c2)
-        _emit({"slope": geography.json_number(nu), "verdict": verdict.value})
-    else:  # hurwitz
-        _emit({"bound": geography.hurwitz_bound(args.genus)})
-    return 0
+def _run_noether_complete(args) -> dict:
+    return geography.noether_complete(_invariants_from_args(args)).to_dict()
 
 
-def _run_xiao_scan(args) -> int:
-    rows = geography.xiao_admissible_scan(args.g2, args.chi_max)
-    saw_eps0 = False
-    if args.format == "csv":
+def _run_blow_up(args) -> dict:
+    return geography.blow_up(_invariants_from_args(args), args.n).to_dict()
+
+
+def _run_chi_bounds(args) -> dict:
+    return geography.fibration_chi_bounds(_invariants_from_args(args)).to_dict()
+
+
+def _run_xiao_validate(args) -> dict:
+    case = geography.XiaoCase.CASE_I if args.case == "i" else geography.XiaoCase.CASE_II
+    return geography.xiao_validate(_invariants_from_args(args), case).to_dict()
+
+
+def _run_general_type(args) -> dict:
+    return geography.general_type_checks(_invariants_from_args(args), args.minimal).to_dict()
+
+
+def _run_elliptic_c2(args) -> dict:
+    c2, chi = geography.elliptic_c2(args.d)
+    return {"c2": c2, "chi": chi}
+
+
+def _run_slope(args) -> dict:
+    nu, verdict = geography.kodaira_slope(args.k2, args.c2)
+    return {"slope": geography.json_number(nu), "verdict": verdict.value}
+
+
+def _run_xiao_scan(args) -> dict | None:
+    csv = args.format == "csv"
+    if csv:
         sys.stdout.write(geography.CSV_HEADER + "\n")
-        for row in rows:  # streamed as computed
-            saw_eps0 = saw_eps0 or "eps0" in row.flags
+    collected, saw_eps0 = [], False
+    for row in geography.xiao_admissible_scan(args.g2, args.chi_max):
+        saw_eps0 = saw_eps0 or "eps0" in row.flags
+        if csv:  # streamed as computed
             sys.stdout.write(row.csv_row() + "\n")
-    else:
-        collected = []
-        for row in rows:
-            saw_eps0 = saw_eps0 or "eps0" in row.flags
+        else:
             collected.append(row.to_dict())
-        _emit({"g2": args.g2, "chi_max": args.chi_max, "rows": collected})
     if saw_eps0:
         print("note: rows flagged eps0 carry a weaker existence guarantee.",
               file=sys.stderr)
-    return 0
+    return None if csv else {"g2": args.g2, "chi_max": args.chi_max, "rows": collected}
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="surface-invariant identities and bounds")
     ops = p.add_subparsers(dest="operation", required=True)
 
-    def add_inv_flags(sp, *, d_flag=False):
+    def add_inv_flags(sp):
         sp.add_argument("--chi", type=int)
         sp.add_argument("--q", type=int)
         sp.add_argument("--pg", type=int)
@@ -263,37 +258,36 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--g1", type=int)
         sp.add_argument("--g2", type=int)
         sp.add_argument("--epsilon", type=int)
-        if d_flag:
-            sp.add_argument("--d", type=int)
 
     sp = ops.add_parser("noether-complete")
-    add_inv_flags(sp, d_flag=True)
-    sp.set_defaults(handler=_run_invariants)
+    add_inv_flags(sp)
+    sp.add_argument("--d", type=int)
+    sp.set_defaults(handler=_run_noether_complete)
     sp = ops.add_parser("blow-up")
     add_inv_flags(sp)
     sp.add_argument("--n", type=int, default=1)
-    sp.set_defaults(handler=_run_invariants)
+    sp.set_defaults(handler=_run_blow_up)
     sp = ops.add_parser("chi-bounds")
     add_inv_flags(sp)
-    sp.set_defaults(handler=_run_invariants)
+    sp.set_defaults(handler=_run_chi_bounds)
     sp = ops.add_parser("xiao-validate")
     add_inv_flags(sp)
     sp.add_argument("--case", choices=["i", "ii"], default="ii")
-    sp.set_defaults(handler=_run_invariants)
+    sp.set_defaults(handler=_run_xiao_validate)
     sp = ops.add_parser("general-type")
     add_inv_flags(sp)
     sp.add_argument("--minimal", action="store_true")
-    sp.set_defaults(handler=_run_invariants)
+    sp.set_defaults(handler=_run_general_type)
     sp = ops.add_parser("elliptic-c2")
     sp.add_argument("--d", type=int, required=True)
-    sp.set_defaults(handler=_run_invariants)
+    sp.set_defaults(handler=_run_elliptic_c2)
     sp = ops.add_parser("slope")
     sp.add_argument("--k2", type=int, required=True)
     sp.add_argument("--c2", type=int, required=True)
-    sp.set_defaults(handler=_run_invariants)
+    sp.set_defaults(handler=_run_slope)
     sp = ops.add_parser("hurwitz")
     sp.add_argument("--genus", type=int, required=True)
-    sp.set_defaults(handler=_run_invariants)
+    sp.set_defaults(handler=lambda args: {"bound": geography.hurwitz_bound(args.genus)})
 
     p = sub.add_parser("xiao-scan", help="stream admissible genus-2 (chi, eps, K2) tuples")
     p.add_argument("--g2", type=int, required=True)
@@ -307,13 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload = args.handler(args)
     except LiteralError as exc:
         _emit({"error": str(exc)})
         return 2
     except ValueError as exc:
         _emit({"error": str(exc)})
         return 1
+    if payload is not None:
+        _emit(payload)
+    return 0
 
 
 if __name__ == "__main__":

@@ -240,8 +240,6 @@ def classify_signature(g: int, d1: int, d2: int, d3: int) -> FibreClass:
 
 def classify(model: HyperellipticModel) -> FibreClass:
     """Classify a fibre over Q by Yun's squarefree decomposition of ``f``."""
-    if model.f.degree != 2 * model.g + 2:
-        raise ValueError(DEGREE_DROP)
     decomposition = squarefree_decomposition(model.f)
     d1, d2, d3 = (sum(max(mult - i, 0) * factor.degree for factor, mult in decomposition)
                   for i in (1, 2, 3))

@@ -3,8 +3,9 @@
 Everything else in the package is factorization-free; the two places that
 genuinely need irreducible factors (minimal polynomials of conjugate
 singular points, and the moduli for per-fibre node counting at algebraic
-pencil parameters) go through this thin exact bridge.  Factors come back
-monic and in a deterministic order.
+pencil parameters) go through this thin exact bridge.  It hands sympy's
+dense ``Z[x]`` layer the primitive integer multiple of the input, which has
+the same monic factors.  Factors come back monic and in a deterministic order.
 
 A generic pencil's discriminant is irreducible of degree 4g+2, where
 sympy's Zassenhaus spends its time Hensel-lifting modular factors that
@@ -14,31 +15,10 @@ never recombine; from degree 24 on, a degree-set certificate
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .polynomial import UniPoly, _integer_primitive
+from .polynomial import UniPoly, _integer_primitive, _monic_fraction
 
 _CERTIFY_FROM_DEGREE = 24  # below it sympy alone is as fast, so a failed try is pure cost
 _CERTIFY_PRIMES = 12  # good primes below 200 tried before the certificate gives up
-
-
-def _sympy():
-    # deferred: sympy dominates interpreter start-up, and most entry points
-    # (classification over Q, linear systems, geography) never factor
-    import sympy
-
-    return sympy
-
-
-def _to_sympy(p: UniPoly):
-    sympy = _sympy()
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coefficients)]
-    return sympy.Poly(coeffs, sympy.Symbol("t"), domain="QQ")
-
-
-def _from_sympy(p) -> UniPoly:
-    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
-    return UniPoly(tuple(coeffs))
 
 
 def _certified_irreducible(p: UniPoly) -> bool:
@@ -85,7 +65,13 @@ def irreducible_factors(p: UniPoly):
         return []
     if p.degree >= _CERTIFY_FROM_DEGREE and _certified_irreducible(p):
         return [(p.monic(), 1)]
-    _, factors = _to_sympy(p).factor_list()
-    out = [(_from_sympy(f).monic(), int(mult)) for f, mult in factors]
+    # deferred: sympy dominates interpreter start-up, and most entry points
+    # (classification over Q, linear systems, geography) never factor
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list(_integer_primitive(p)[::-1], ZZ)
+    # int(): with gmpy2 installed, sympy's ZZ elements are mpz, not int
+    out = [(_monic_fraction([int(c) for c in reversed(f)]), mult) for f, mult in factors]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coefficients))
     return out

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -105,3 +107,75 @@ class TestCertificate:
         monkeypatch.setattr(factorization, "_certified_irreducible", fail)
         p = dense(random.Random("below"), _CERTIFY_FROM_DEGREE - 1)
         assert irreducible_factors(p) == sympy_factors(p)
+
+
+def linear_product(rng) -> UniPoly:
+    """Rational roots with denominators up to 7, some repeated, times a leading coefficient
+    of either sign, possibly fractional; degree at most 23."""
+    roots = [Fraction(rng.randint(-12, 12), rng.randint(1, 7)) for _ in range(rng.randint(1, 9))]
+    roots += [rng.choice(roots) for _ in range(rng.randint(0, 8))]
+    lead = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 7))
+    return UniPoly.from_roots(roots, leading=lead)
+
+
+def quadratic_product(rng) -> UniPoly:
+    """Irreducible quadratics (b^2 < 4ac), each to a power 1..3, times an optional
+    rational linear factor and a leading coefficient of either sign; degree at most 23."""
+    p = UniPoly.constant(Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.randint(1, 7)))
+    if rng.random() < 0.5:
+        p = p * UniPoly.from_roots([Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.randint(1, 5), rng.randint(-5, 5)
+        c = Fraction(b * b + rng.randint(1, 9), 4 * a)
+        power = rng.randint(1, 3)
+        if p.degree + 2 * power < _CERTIFY_FROM_DEGREE:
+            p = p * UniPoly((c, Fraction(b), Fraction(a))) ** power
+    return p
+
+
+def planted_discriminant(g, t, seed) -> UniPoly:
+    member = construct_split(g, seed) if t == "split" else construct_nodal(g, t, seed)
+    return pencil_discriminant(Pencil(g, member.f, construct_nodal(g, 0, seed + 100).f))
+
+
+class TestSympyRoute:
+    """Below degree 24 the factors come from sympy's dense Z[x] factorizer; the
+    parent's Poly-over-QQ route (``sympy_factors``) is the oracle."""
+
+    def test_products_of_linear_factors(self):
+        rng = random.Random("linear")
+        for _ in range(80):
+            p = linear_product(rng)
+            assert irreducible_factors(p) == sympy_factors(p)
+
+    def test_products_of_irreducible_quadratics(self):
+        rng = random.Random("quadratic")
+        for _ in range(60):
+            p = quadratic_product(rng)
+            assert p.degree < _CERTIFY_FROM_DEGREE
+            assert irreducible_factors(p) == sympy_factors(p)
+
+    @pytest.mark.parametrize("g,ts", [(2, (1, 2, "split")), (3, (1, 2, 3, "split"))],
+                             ids=["g2", "g3"])
+    def test_planted_pencil_discriminants(self, g, ts):
+        for t in ts:
+            for seed in range(10):
+                disc = planted_discriminant(g, t, seed)
+                assert 0 < disc.degree < _CERTIFY_FROM_DEGREE
+                factors = irreducible_factors(disc)
+                assert factors == sympy_factors(disc)
+                assert UniPoly.x() in [f for f, _ in factors]
+
+    @pytest.mark.parametrize("c", [1, -1, 5, Fraction(-3, 4), Fraction(2, 7), Fraction(-9, 5)])
+    def test_constants_have_no_factors(self, c):
+        p = UniPoly.constant(c)
+        assert irreducible_factors(p) == sympy_factors(p) == []
+
+
+def test_sympy_loads_on_the_first_factorization():
+    code = ("import sys; from fibrelab import cli, factorization; from fibrelab.polynomial "
+            "import UniPoly; assert 'sympy' not in sys.modules; "
+            "factorization.irreducible_factors(UniPoly((-2, 0, 1))); "
+            "assert 'sympy' in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -1,0 +1,50 @@
+"""Smoke tests for the experiment scripts under scripts/."""
+
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+from types import SimpleNamespace
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
+                          capture_output=True, env=env)
+
+
+def test_pencil_census_runs():
+    proc = run_script("pencil_census.py", "--genus", "2", "--count", "3")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(proc.stdout.decode().splitlines()) == 4  # header and one row per seed
+
+
+def test_geography_scan_validates():
+    proc = run_script("geography_scan.py", "--g2", "0", "--chi-max", "4", "--validate")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b", 0 failures" in proc.stderr
+
+
+def test_geography_scan_exits_1_when_a_tuple_fails(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("geography_scan", SCRIPTS / "geography_scan.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+
+    def fail_the_first(inv, case):
+        calls.append(inv)
+        return SimpleNamespace(ok=len(calls) > 1)
+
+    monkeypatch.setattr(script, "xiao_validate", fail_the_first)
+    monkeypatch.setattr(sys, "argv", ["geography_scan.py", "--chi-max", "2", "--validate"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 1
+    assert ", 1 failures" in capsys.readouterr().err
