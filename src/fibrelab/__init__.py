@@ -56,7 +56,6 @@ from .polynomial import (
     UniPoly,
     discriminant,
     resultant,
-    squarefree_decomposition,
     unipoly_from_literal,
     unipoly_to_literal,
 )

@@ -72,7 +72,7 @@ def _run_pencil(args) -> dict:
     if args.file:
         params = _load_params_file(args.file)
         try:
-            g = int(params["g"])
+            g = curves.genus_from_literal(params["g"])
             f0 = unipoly_from_literal(params["f0"])
             f1 = unipoly_from_literal(params["f1"])
         except (KeyError, TypeError) as exc:

@@ -28,8 +28,9 @@ from typing import Optional, Union
 
 from .factorization import irreducible_factors
 from .polynomial import (
+    LiteralError,
     UniPoly,
-    squarefree_decomposition,
+    repeated_part,
     unipoly_from_literal,
     unipoly_to_literal,
 )
@@ -66,7 +67,22 @@ class HyperellipticModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "HyperellipticModel":
-        return cls(int(obj["genus"]), unipoly_from_literal(obj["f"]))
+        return cls(genus_from_literal(obj["genus"]), unipoly_from_literal(obj["f"]))
+
+
+def genus_from_literal(obj) -> int:
+    """A genus read from a parameter file: a JSON integer, or a string holding one.
+
+    Raises LiteralError for anything else, a bool or a float included, so
+    ``2.9`` or ``true`` never passes as a genus.
+    """
+    message = f"bad genus {obj!r}: expected an integer"
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+        raise LiteralError(message)
+    try:
+        return int(obj)
+    except ValueError as exc:
+        raise LiteralError(message) from exc
 
 
 @dataclass(frozen=True)
@@ -239,32 +255,36 @@ def classify_signature(g: int, d1: int, d2: int, d3: int) -> FibreClass:
 
 
 def classify(model: HyperellipticModel) -> FibreClass:
-    """Classify a fibre over Q by Yun's squarefree decomposition of ``f``."""
-    decomposition = squarefree_decomposition(model.f)
-    d1, d2, d3 = (sum(max(mult - i, 0) * factor.degree for factor, mult in decomposition)
-                  for i in (1, 2, 3))
-    return classify_signature(model.g, d1, d2, d3)
+    """Classify a fibre over Q by its gcd chain.
+
+    ``u1 = gcd(f, f')``, ``u2 = gcd(u1, u1')`` and ``u3 = gcd(u2, u2')``, each
+    by :func:`fibrelab.polynomial.repeated_part`, give the signature that
+    :func:`classify_signature` decides on.
+    """
+    signature, u = [], model.f
+    for _ in range(3):
+        u = repeated_part(u)
+        signature.append(u.degree)
+    return classify_signature(model.g, *signature)
 
 
 def singular_points(model: HyperellipticModel):
     """Singular points of y^2 = f(x), one entry per Galois orbit.
 
     Rational repeated roots are reported exactly; conjugate orbits by the
-    irreducible polynomial they satisfy.  The local type is ``node`` iff
-    the root multiplicity in f is exactly 2.
+    irreducible polynomial they satisfy.  They are the irreducible factors
+    of ``u1 = gcd(f, f')``, where a root of multiplicity ``k`` in f has
+    multiplicity ``k - 1``; the local type is ``node`` iff ``k`` is exactly
+    2, so iff the factor is simple in ``u1``.
     """
     rational = []
     orbits = []
-    for factor, mult in squarefree_decomposition(model.f):
-        if mult < 2:
-            continue
-        local = "node" if mult == 2 else "worse"
-        for irr, _ in irreducible_factors(factor):
-            if irr.degree == 1:
-                root = -irr.coefficients[0]
-                rational.append(SingularPoint(root, local))
-            else:
-                orbits.append(SingularPoint(irr, local))
+    for irr, mult in irreducible_factors(repeated_part(model.f)):
+        local = "node" if mult == 1 else "worse"
+        if irr.degree == 1:
+            rational.append(SingularPoint(-irr.coefficients[0], local))
+        else:
+            orbits.append(SingularPoint(irr, local))
     rational.sort(key=lambda s: s.location)
     orbits.sort(key=lambda s: (s.location.degree, s.location.coefficients))
     return rational + orbits

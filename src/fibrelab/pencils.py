@@ -1,16 +1,19 @@
 """Pencils of hyperelliptic models as fibred surfaces over the line.
 
 A pencil ``f_lam = (1 - lam) f0 + lam f1`` of degree 2g+2 models is treated
-as a fibration with P^1 base (the affine lam-chart; a pencil whose member at
-the chart's infinity degenerates is outside the simulated window and the
-discriminant degree makes that visible).  Singular fibres sit over the roots
-of ``Disc_x(f_lam)``.  Node counts are exact, never numerical: at a rational
-root by Yun's algorithm over Q, and along a conjugate orbit, the roots of an
-irreducible factor m of the discriminant, by subresultant certificates over
-Q[lam]: the gcd degrees of the fibre are the least k for which m does not
-divide a principal subresultant coefficient psc_k.  Every subresultant over
-Q[lam] comes from one subresultant remainder chain per integer node of lam,
-interpolated (:func:`fibrelab.polynomial.subresultant`).
+as a fibration with P^1 base, but only the affine lam-chart is searched.  A
+singular member at the chart's infinity (``f1 - f0`` as a binary form of
+degree 2g+2) is not classified: its nodes are missing from ``e_total``, which
+is still reported exact, and nothing printed shows it; only
+``FibrationSummary.disc_degree``, which the printed summary omits, falls short
+of 4g+2 then.  Singular fibres sit over the roots of ``Disc_x(f_lam)``.  Node
+counts are exact, never numerical: at a rational root by the gcd chain of its
+member over Q (:func:`fibrelab.curves.classify`), and along a conjugate orbit,
+the roots of an irreducible factor m of the discriminant, by subresultant
+certificates over Q[lam]: the gcd degrees of the fibre are the least k for
+which m does not divide a principal subresultant coefficient psc_k.  Every
+subresultant over Q[lam] comes from one subresultant remainder chain per
+integer node of lam, interpolated (:func:`fibrelab.polynomial.subresultant`).
 
 The total-space Euler number is assembled fibre-wise as
 
@@ -215,7 +218,7 @@ def singular_fibres(pencil: Pencil) -> list:
     """Singular-fibre records, one per Galois orbit of discriminant roots.
 
     For each irreducible factor m of the discriminant, a rational parameter
-    (deg m = 1) is classified by Yun's algorithm over Q on its member, and a
+    (deg m = 1) is classified by the gcd chain over Q on its member, and a
     conjugate orbit by the subresultant signature of the whole pencil over
     Q[lam]/(m) (:func:`orbit_signature`); both routes end in
     :func:`fibrelab.curves.classify_signature`.  Records are ordered:

@@ -9,12 +9,12 @@ type supporting ring arithmetic (``+``, ``-``, ``*``, ``bool``,
 polynomial in ``x`` with coefficients in ``Q[lam]``: its subresultants
 (:func:`subresultant`) are then polynomials in ``lam``.
 
-Yun's squarefree decomposition (:func:`squarefree_decomposition`) and
-:func:`is_squarefree` run in ``Z[x]``: denominators are cleared once, each gcd
-is a primitive polynomial remainder sequence, and the Yun quotients are
-exact integer divisions, which stay in ``Z[x]`` by Gauss's lemma because
-every divisor is primitive.  The result is over Q: Fractions are built only
-for the monic output factors.
+The repeated part :func:`repeated_part`, the monic ``gcd(p, p')``, runs in
+``Z[x]``: denominators are cleared once and the gcd is a primitive polynomial
+remainder sequence, which by Gauss's lemma is the gcd over Q up to a unit.
+Fractions are built only for the monic result.  Iterated three times it
+gives the gcd-degree signature of a fibre
+(:func:`fibrelab.curves.classify_signature`).
 
 Subresultants, and :func:`resultant` as ``S_0``, run in ``Z[x]`` too: the
 coefficients are scaled to integers once, Brown's subresultant remainder
@@ -251,7 +251,7 @@ class UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition (Yun), resultants, discriminants
+# repeated parts, resultants, discriminants
 # ---------------------------------------------------------------------------
 
 
@@ -271,13 +271,6 @@ def _integer_primitive(p: UniPoly):
 
 def _int_derivative(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _int_sub(a, b):
-    out = [c - d for c, d in itertools.zip_longest(a, b, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _int_prem(a, b):
@@ -332,47 +325,18 @@ def _monic_fraction(coeffs) -> UniPoly:
     return UniPoly(tuple(Fraction(c, lead) for c in coeffs))
 
 
-def squarefree_decomposition(p: UniPoly):
-    """Yun's squarefree decomposition (characteristic 0) of ``p`` over Q.
+def repeated_part(p: UniPoly) -> UniPoly:
+    """Monic ``gcd(p, p')`` of a nonzero ``p`` over Q.
 
-    Returns ``[(factor, multiplicity), ...]`` with monic squarefree pairwise
-    coprime factors in ascending multiplicity, such that the product of
-    ``factor**multiplicity`` equals ``p`` up to the leading coefficient.
-    A nonzero constant decomposes into the empty list.
-
-    The steps run in ``Z[x]`` on the primitive part of ``p``: the gcds are
-    primitive remainder sequences, and every divisor is primitive, so by
-    Gauss's lemma the quotients ``b = p/d``, ``p'/d``, ``b/a`` and ``z/a``
-    are exact integer divisions.  Only the monic factors are Fractions.
+    A root of multiplicity ``k`` in ``p`` has multiplicity ``k - 1`` here, so
+    ``p`` is squarefree exactly when the result is ``1``.  The gcd is a
+    primitive remainder sequence on the primitive integer multiple of ``p``;
+    only the monic result is built from Fractions.
     """
     if p.is_zero:
-        raise ValueError("zero polynomial has no decomposition")
-    if p.degree == 0:
-        return []
+        raise ValueError("zero polynomial has no repeated part")
     p = _integer_primitive(p)
-    dp = _int_derivative(p)
-    d = _int_gcd(p, dp)
-    if len(d) == 1:
-        return [(_monic_fraction(p), 1)]
-    b = _int_exact_quotient(p, d)
-    z = _int_sub(_int_exact_quotient(dp, d), _int_derivative(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        a = _int_gcd(b, z)
-        if len(a) > 1:
-            out.append((_monic_fraction(a), i))
-        b = _int_exact_quotient(b, a)
-        z = _int_sub(_int_exact_quotient(z, a), _int_derivative(b))
-        i += 1
-    return out
-
-
-def is_squarefree(p: UniPoly) -> bool:
-    if p.is_zero:
-        return False
-    p = _integer_primitive(p)
-    return len(_int_gcd(p, _int_derivative(p))) == 1
+    return _monic_fraction(_int_gcd(p, _int_derivative(p)))
 
 
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:

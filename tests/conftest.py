@@ -116,10 +116,13 @@ def fraction_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 def fraction_squarefree_decomposition(p: UniPoly):
-    """Oracle for ``squarefree_decomposition``: Yun by Euclid over Fraction.
+    """Yun's squarefree decomposition by Euclid over Fraction.
 
-    The route the integer one replaced: monic gcds by :func:`fraction_gcd` and
-    quotients by ``UniPoly.__floordiv__``, all over Q.
+    Independent of the package, which has no squarefree decomposition:
+    monic gcds by :func:`fraction_gcd` and quotients by
+    ``UniPoly.__floordiv__``, all over Q.  Returns ``[(factor,
+    multiplicity), ...]`` with monic squarefree pairwise coprime factors in
+    ascending multiplicity; a nonzero constant decomposes into ``[]``.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no decomposition")
@@ -143,11 +146,40 @@ def fraction_squarefree_decomposition(p: UniPoly):
     return out
 
 
-def fraction_is_squarefree(p: UniPoly) -> bool:
-    """Oracle for ``is_squarefree``: one Euclid gcd over Fraction."""
-    if p.is_zero:
-        return False
-    return p.degree <= 0 or fraction_gcd(p, p.derivative()).degree == 0
+def yun_signature(f: UniPoly):
+    """Oracle for the gcd chain of ``classify``: ``(deg u1, deg u2, deg u3)``.
+
+    Summed from :func:`fraction_squarefree_decomposition`: a factor of
+    multiplicity ``k`` adds ``max(k - i, 0)`` times its degree to ``deg u_i``.
+    """
+    decomposition = fraction_squarefree_decomposition(f)
+    return tuple(sum(max(mult - i, 0) * factor.degree for factor, mult in decomposition)
+                 for i in (1, 2, 3))
+
+
+def yun_singular_points(f: UniPoly):
+    """Oracle for ``singular_points``: ``(location, local_type)`` in print order.
+
+    The route it replaced: each factor of multiplicity ``k >= 2`` in
+    :func:`fraction_squarefree_decomposition` is split by
+    ``irreducible_factors`` into rational roots and conjugate orbits, all
+    ``node`` when ``k == 2`` and ``worse`` otherwise.
+    """
+    from fibrelab.factorization import irreducible_factors
+
+    rational, orbits = [], []
+    for factor, mult in fraction_squarefree_decomposition(f):
+        if mult < 2:
+            continue
+        local = "node" if mult == 2 else "worse"
+        for irr, _ in irreducible_factors(factor):
+            if irr.degree == 1:
+                rational.append((-irr.coefficients[0], local))
+            else:
+                orbits.append((irr, local))
+    rational.sort(key=lambda point: point[0])
+    orbits.sort(key=lambda point: (point[0].degree, point[0].coefficients))
+    return rational + orbits
 
 
 def number_field_signature(f: UniPoly, m: UniPoly):

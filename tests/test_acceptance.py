@@ -45,8 +45,9 @@ from fibrelab.linear_systems import (
     severi_dimension,
 )
 from fibrelab.pencils import pencil_discriminant, seeded_pencil, total_space_euler
-from fibrelab.polynomial import UniPoly, discriminant, squarefree_decomposition
+from fibrelab.polynomial import UniPoly, discriminant
 from cli_examples import EXAMPLES
+from conftest import fraction_squarefree_decomposition
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -83,7 +84,7 @@ def test_criterion_2_discriminant_squarefree_equivalence():
         if p.degree < 1:
             continue
         checked += 1
-        has_repeated = any(m >= 2 for _, m in squarefree_decomposition(p))
+        has_repeated = any(m >= 2 for _, m in fraction_squarefree_decomposition(p))
         if (discriminant(p) == 0) != has_repeated:
             ok = False
             break

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from fibrelab import schemas
-from cli_examples import ERROR_EXAMPLES, EXAMPLES
+from cli_examples import DEMO_F0, DEMO_F1, ERROR_EXAMPLES, EXAMPLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -85,6 +85,40 @@ def test_classify_from_parameter_file(tmp_path):
     inline = run_cli(["classify", "--genus", "2", "--f", json.dumps(params["f"])])
     assert from_file.returncode == 0
     assert from_file.stdout == inline.stdout
+
+
+# (command, genus key, the other keys of its parameter file, the inline flags)
+_PARAMETER_FILES = {
+    "classify": ("genus", {"f": json.loads(DEMO_F0)}, ["--f", DEMO_F0]),
+    "pencil": ("g", {"f0": json.loads(DEMO_F0), "f1": json.loads(DEMO_F1)},
+               ["--f0", DEMO_F0, "--f1", DEMO_F1]),
+}
+
+
+@pytest.mark.parametrize("command,genus", [("classify", "2"), ("pencil", 2), ("pencil", "2")],
+                         ids=["classify-string", "pencil-integer", "pencil-string"])
+def test_parameter_file_matches_inline_flags(tmp_path, command, genus):
+    key, params, flags = _PARAMETER_FILES[command]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({key: genus, **params}))
+    from_file = run_cli([command, "--file", str(path)])
+    inline = run_cli([command, "--genus", "2", *flags])
+    assert from_file.returncode == 0
+    assert from_file.stdout == inline.stdout
+
+
+@pytest.mark.parametrize("genus", [2.9, 2.0, True, "two", "2x", "2.9"],
+                         ids=["float", "integral-float", "bool", "word", "suffix", "float-string"])
+@pytest.mark.parametrize("command", sorted(_PARAMETER_FILES))
+def test_parameter_file_genus_must_be_an_integer(tmp_path, capsys, command, genus):
+    from fibrelab.cli import main
+    key, params, _ = _PARAMETER_FILES[command]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({key: genus, **params}))
+    assert main([command, "--file", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, schemas.ERROR)
+    assert "expected an integer" in payload["error"]
 
 
 def test_scan_streams_csv_per_row():

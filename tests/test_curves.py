@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from fibrelab.curves import (
     singular_points,
 )
 from fibrelab.polynomial import UniPoly, unipoly_from_literal
+
+from conftest import yun_signature, yun_singular_points
 
 X = UniPoly.x()
 
@@ -195,6 +198,91 @@ class TestSingularPoints:
             m = construct_nodal(g, t, rng.randrange(2**32))
             total = sum(p.conjugates for p in singular_points(m) if p.local_type == "node")
             assert total == classify(m).t
+
+
+def planted_model(rng, g) -> HyperellipticModel:
+    """A degree-``2g+2`` model over Q with planted repeated roots.
+
+    Rational roots ``p/q`` (``q <= 4``) to powers 1..5 and quadratic orbits
+    ``x^2 - d`` (``d`` not a square) to powers 1..3, filled up to the degree;
+    one model in five is a split member ``c s^2`` with ``s`` squarefree.
+    """
+    n = 2 * g + 2
+    lead = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+    roots, squares = set(), set()
+
+    def fresh_factor(room):
+        if room >= 2 and rng.random() < 0.3:
+            d = rng.choice([d for d in (-3, -2, -1, 2, 3, 5, 6, 7) if d not in squares])
+            squares.add(d)
+            return UniPoly((Fraction(-d), Fraction(0), Fraction(1)))
+        r = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+        while r in roots:
+            r = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+        roots.add(r)
+        return X - UniPoly.constant(r)
+
+    split = rng.random() < 0.2
+    f = UniPoly.constant(lead)
+    want = g + 1 if split else n
+    while f.degree < want:
+        room = want - f.degree
+        factor = fresh_factor(room)
+        top = 1 if split else 3 if factor.degree == 2 else 5
+        power = rng.choice((1, 1, 1, 1, 2, 2, 2, *range(3, top + 1)))
+        f = f * factor ** min(power, top, room // factor.degree)
+    return HyperellipticModel(g, f * f / lead if split else f)
+
+
+def unchecked_model(g, f) -> HyperellipticModel:
+    """A model whose degree may exceed ``2g + 2``: the only way to hand
+    ``classify`` a signature outside :func:`classify_signature`'s range."""
+    m = object.__new__(HyperellipticModel)
+    object.__setattr__(m, "g", g)
+    object.__setattr__(m, "f", f)
+    return m
+
+
+def differential_models():
+    """315 seeded planted models at g = 2..8, and each one again under a
+    genus too small for its degree."""
+    rng = random.Random(0x5F1B)
+    for g in range(2, 9):
+        for _ in range(45):
+            m = planted_model(rng, g)
+            yield m
+            yield unchecked_model(rng.randint(1, g - 1), m.f)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+class TestGcdChainAgainstYun:
+    """``classify`` and ``singular_points`` against the Yun route of conftest."""
+
+    def test_classify_matches_the_summed_decomposition(self):
+        kinds, errors = set(), 0
+        for m in differential_models():
+            expected = outcome(lambda: classify_signature(m.g, *yun_signature(m.f)))
+            assert outcome(classify, m) == expected, (m.g, m.f)
+            if isinstance(expected, tuple):
+                errors += 1
+            else:
+                kinds.add(expected.kind)
+        assert kinds == set(FibreKind) and errors > 0
+
+    def test_singular_points_match_the_decomposition_route(self):
+        local_types = set()
+        for m in differential_models():
+            points = [(p.location, p.local_type) for p in singular_points(m)]
+            assert points == yun_singular_points(m.f), (m.g, m.f)
+            local_types.update((isinstance(loc, UniPoly), kind) for loc, kind in points)
+        assert local_types == {(False, "node"), (False, "worse"), (True, "node"),
+                               (True, "worse")}
 
 
 class TestWeightedHomogenization:

@@ -28,7 +28,7 @@ from fibrelab.pencils import (
 )
 from fibrelab.polynomial import UniPoly, discriminant, unipoly_from_literal
 
-from conftest import fraction_gcd, number_field_signature
+from conftest import fraction_gcd, fraction_squarefree_decomposition, number_field_signature
 
 # the pencil between x^6 - 1 and x^6 - x: small, with one rational singular
 # parameter (a base point of the family sits at (1, 0)) and one quartic orbit
@@ -131,8 +131,7 @@ class TestPencilDiscriminant:
         disc = pencil_discriminant(pencil)
         assert disc(Fraction(0)) == 0
         # all other singular parameters are simple roots of the discriminant
-        from fibrelab.polynomial import squarefree_decomposition
-        mults = {m for _, m in squarefree_decomposition(disc)}
+        mults = {m for _, m in fraction_squarefree_decomposition(disc)}
         assert mults == {1}
 
 

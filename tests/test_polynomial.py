@@ -11,9 +11,8 @@ from fibrelab.polynomial import (
     UniPoly,
     _int_exact_quotient,
     discriminant,
-    is_squarefree,
+    repeated_part,
     resultant,
-    squarefree_decomposition,
     subresultant,
     unipoly_from_literal,
     unipoly_to_literal,
@@ -21,7 +20,6 @@ from fibrelab.polynomial import (
 
 from conftest import (
     fraction_gcd,
-    fraction_is_squarefree,
     fraction_squarefree_decomposition,
     gaussian_det,
     random_unipoly,
@@ -72,46 +70,6 @@ class TestUniPolyBasics:
             assert composed(v) == p(inner(v))
 
 
-class TestSquarefreeDecomposition:
-    def test_pure_square(self):
-        assert squarefree_decomposition(X**2) == [(X, 2)]
-
-    def test_mixed_multiplicities(self):
-        p = lin(1) ** 2 * lin(2)
-        assert squarefree_decomposition(p) == [(lin(2), 1), (lin(1), 2)]
-
-    def test_squarefree_input_is_identity(self):
-        p = X**3 + X + ONE  # gcd(p, p') = 1
-        assert squarefree_decomposition(p) == [(p, 1)]
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            squarefree_decomposition(UniPoly.zero())
-
-    @given(polys_st)
-    @settings(max_examples=150, deadline=None)
-    def test_roundtrip_up_to_leading_coefficient(self, p):
-        if p.is_zero:
-            return
-        product = UniPoly.one()
-        for factor, mult in squarefree_decomposition(p):
-            product = product * factor**mult
-        assert product * p.leading_coefficient == p
-
-    @given(polys_st)
-    @settings(max_examples=150, deadline=None)
-    def test_multiplicities_ascend_and_factors_coprime(self, p):
-        if p.is_zero:
-            return
-        decomp = squarefree_decomposition(p)
-        mults = [m for _, m in decomp]
-        assert mults == sorted(mults) and len(set(mults)) == len(mults)
-        for i, (f, _) in enumerate(decomp):
-            assert is_squarefree(f)
-            for g, _ in decomp[i + 1:]:
-                assert fraction_gcd(f, g).degree == 0
-
-
 def planted_poly(rng, max_degree) -> UniPoly:
     """Nonzero leading coefficient (any sign, denominator <= 7) times rational
     linear factors ``(x - p/q)``, ``q <= 7``, and irreducible quadratics, each
@@ -135,8 +93,7 @@ class TestIntegerYun:
     """The Z[x] route against the Fraction-Euclid oracle in conftest."""
 
     def assert_matches_oracle(self, p):
-        assert squarefree_decomposition(p) == fraction_squarefree_decomposition(p)
-        assert is_squarefree(p) == fraction_is_squarefree(p)
+        assert repeated_part(p) == fraction_gcd(p, p.derivative())
 
     def test_matches_oracle_on_planted_polynomials(self, rng):
         for _ in range(150):
@@ -147,8 +104,9 @@ class TestIntegerYun:
         quadratic = UniPoly((Fraction(5, 2), Fraction(-1), Fraction(3)))
         p = lin(Fraction(-6, 7)) ** mult * quadratic * lin(Fraction(2, 5)) * -7
         self.assert_matches_oracle(p)
-        assert any(m == mult and (f % lin(Fraction(-6, 7))).is_zero
-                   for f, m in squarefree_decomposition(p))
+        root = lin(Fraction(-6, 7))
+        assert (repeated_part(p) % root ** (mult - 1)).is_zero
+        assert not (repeated_part(p) % root ** mult).is_zero
 
     def test_matches_oracle_at_degree_26(self, rng):
         # g = 12 models: planted double roots with denominators up to 7
@@ -171,6 +129,10 @@ class TestIntegerYun:
     ])
     def test_constants_and_linear_inputs(self, p):
         self.assert_matches_oracle(p)
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            repeated_part(UniPoly.zero())
 
     def test_exact_quotient(self):
         # (2x + 1)(3x^2 - 1) / (2x + 1)
@@ -460,7 +422,7 @@ class TestDiscriminant:
     def test_vanishing_iff_repeated_factor(self, p):
         if p.degree < 1:
             return
-        repeated = any(m >= 2 for _, m in squarefree_decomposition(p))
+        repeated = any(m >= 2 for _, m in fraction_squarefree_decomposition(p))
         assert (discriminant(p) == 0) == repeated
 
 
@@ -495,8 +457,7 @@ class TestNormalisationAudit:
             outputs.append(resultant(p, q) if not (p.is_zero or q.is_zero) else Fraction(0))
             if p.degree >= 1:
                 outputs.append(discriminant(p))
-                for f, _ in squarefree_decomposition(p):
-                    outputs.extend(f.coefficients)
+                outputs.extend(repeated_part(p).coefficients)
         for value in outputs:
             assert value.denominator > 0
             from math import gcd

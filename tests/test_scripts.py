@@ -9,21 +9,41 @@ from types import SimpleNamespace
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+from cli_examples import DEMO_F0, DEMO_F1
+
+TESTS = pathlib.Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
 
-def run_script(name, *argv):
+def run_python(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
-                          capture_output=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+
+
+def run_script(name, *argv):
+    return run_python(str(SCRIPTS / name), *argv)
 
 
 def test_pencil_census_runs():
     proc = run_script("pencil_census.py", "--genus", "2", "--count", "3")
     assert proc.returncode == 0, proc.stderr.decode()
     assert len(proc.stdout.decode().splitlines()) == 4  # header and one row per seed
+
+
+def test_pencil_census_runs_under_optimisation():
+    # -O strips asserts: the census's Euler check must not be one
+    proc = run_python("-O", str(SCRIPTS / "pencil_census.py"), "--genus", "2", "--count", "3")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(proc.stdout.decode().splitlines()) == 4
+
+
+def test_pencil_demo_under_optimisation_matches_golden():
+    proc = run_python("-O", "-m", "fibrelab", "pencil", "--genus", "2",
+                      "--f0", DEMO_F0, "--f1", DEMO_F1)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (TESTS / "golden" / "pencil_demo.json").read_bytes()
 
 
 def test_geography_scan_validates():
