@@ -36,7 +36,7 @@ def _load_params_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LiteralError(f"cannot read parameter file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise LiteralError("parameter file must hold a JSON object")

@@ -5,15 +5,17 @@ of tuples is never interrupted by a single failing inequality.  Each check
 carries its evaluated sides and a short citation of the classical result it
 encodes (Noether's formula, the Bogomolov-Miyaoka-Yau inequality, Xiao's
 genus-2 fibration bounds, the Arakelov/Liu slope window, Hurwitz's
-automorphism bound).
+automorphism bound).  Each check is one ``_check`` call; a check that does
+not apply to the given tuple carries the reason as its note.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,7 @@ class SurfaceInvariants:
             raise ValueError("surface invariants violate 12 chi = K2 + e")
 
     def to_dict(self) -> dict:
-        return {
-            "chi": self.chi, "q": self.q, "p_g": self.p_g, "K2": self.K2,
-            "e": self.e, "g1": self.g1, "g2": self.g2,
-            "epsilon": self.epsilon, "d": self.d,
-        }
+        return asdict(self)
 
 
 class CheckStatus(str, enum.Enum):
@@ -96,15 +94,19 @@ class GeographyReport:
         return {"ok": self.ok, "checks": [c.to_dict() for c in self.checks]}
 
 
-def _cmp(name, lhs, relation, rhs, citation, note="") -> Check:
-    holds = {"<=": lhs <= rhs, "<": lhs < rhs, "==": lhs == rhs, ">=": lhs >= rhs,
-             ">": lhs > rhs}[relation]
+_RELATIONS = {"<=": operator.le, "<": operator.lt, "==": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+
+
+def _check(name, lhs, relation, rhs, citation, note="", skip="") -> Check:
+    """``lhs relation rhs`` as a passing or failing check; a non-empty ``skip``
+    is the reason the check does not apply, and it becomes the note of an
+    inapplicable check without sides."""
+    if skip:
+        return Check(name, CheckStatus.INAPPLICABLE, None, None, citation, skip)
+    holds = _RELATIONS[relation](lhs, rhs)
     return Check(name, CheckStatus.PASS if holds else CheckStatus.FAIL,
                  lhs, rhs, citation, note)
-
-
-def _skip(name, citation, note="") -> Check:
-    return Check(name, CheckStatus.INAPPLICABLE, None, None, citation, note)
 
 
 # ---------------------------------------------------------------------------
@@ -127,25 +129,23 @@ def noether_complete(inv: SurfaceInvariants) -> SurfaceInvariants:
         raise ValueError("noether completion is over-determined")
     if n_count < 2 and h_count < 2:
         raise ValueError("noether completion is under-determined")
-    for _ in range(2):  # two passes: one identity may unlock chi for the other
-        if chi is None and None not in (K2, e):
-            total = K2 + e
-            if total % 12:
-                raise ValueError(f"non-integral completion: chi = {total}/12")
-            chi = total // 12
-        if chi is None and None not in (q, p_g):
-            chi = 1 - q + p_g
-        if chi is not None:
-            if K2 is None and e is not None:
-                K2 = 12 * chi - e
-            if e is None and K2 is not None:
-                e = 12 * chi - K2
-            if q is None and p_g is not None:
-                q = 1 - chi + p_g
-            if p_g is None and q is not None:
-                p_g = chi - 1 + q
-    return SurfaceInvariants(chi=chi, q=q, p_g=p_g, K2=K2, e=e,
-                             g1=inv.g1, g2=inv.g2, epsilon=inv.epsilon, d=inv.d)
+    if chi is None and None not in (K2, e):
+        total = K2 + e
+        if total % 12:
+            raise ValueError(f"non-integral completion: chi = {total}/12")
+        chi = total // 12
+    if chi is None and None not in (q, p_g):
+        chi = 1 - q + p_g
+    if chi is not None:
+        if K2 is None and e is not None:
+            K2 = 12 * chi - e
+        if e is None and K2 is not None:
+            e = 12 * chi - K2
+        if q is None and p_g is not None:
+            q = 1 - chi + p_g
+        if p_g is None and q is not None:
+            p_g = chi - 1 + q
+    return replace(inv, chi=chi, q=q, p_g=p_g, K2=K2, e=e)
 
 
 def blow_up(inv: SurfaceInvariants, n: int = 1) -> SurfaceInvariants:
@@ -166,29 +166,17 @@ def fibration_chi_bounds(inv: SurfaceInvariants) -> GeographyReport:
     """Bounds tying chi, q, e to the fibre and base genera (g1, g2)."""
     if None in (inv.g1, inv.g2) or inv.chi is None:
         raise ValueError("fibration bounds require g1, g2 and chi")
-    g1, g2, chi = inv.g1, inv.g2, inv.chi
-    checks = [
-        _cmp("chi_fibration", chi, ">=", 2 * (g1 - 1) * (g2 - 1),
-             "BHPV III, Cor. 11.6"),
-    ]
-    if g1 == 2:
-        checks.append(_cmp("chi_genus2", chi, ">=", g2 - 1,
-                           "Beauville; Xiao LNM 1137, p. 7"))
-    else:
-        checks.append(_skip("chi_genus2", "Beauville; Xiao LNM 1137, p. 7",
-                            "needs g1 = 2"))
-    if inv.q is not None:
-        checks.append(_cmp("q_lower", inv.q, ">=", g2, "pullback of Pic(D) is injective"))
-        checks.append(_cmp("q_upper", inv.q, "<=", g1 + g2, "Beauville's irregularity bound"))
-    else:
-        checks.append(_skip("q_lower", "pullback of Pic(D) is injective", "q not supplied"))
-        checks.append(_skip("q_upper", "Beauville's irregularity bound", "q not supplied"))
-    if inv.e is not None:
-        checks.append(_cmp("euler_fibration", inv.e, ">=", 4 * (g1 - 1) * (g2 - 1),
-                           "BHPV III.11.6"))
-    else:
-        checks.append(_skip("euler_fibration", "BHPV III.11.6", "e not supplied"))
-    return GeographyReport(tuple(checks))
+    g1, g2, chi, q, e = inv.g1, inv.g2, inv.chi, inv.q, inv.e
+    no_q = "q not supplied" if q is None else ""
+    return GeographyReport((
+        _check("chi_fibration", chi, ">=", 2 * (g1 - 1) * (g2 - 1), "BHPV III, Cor. 11.6"),
+        _check("chi_genus2", chi, ">=", g2 - 1, "Beauville; Xiao LNM 1137, p. 7",
+               skip="needs g1 = 2" if g1 != 2 else ""),
+        _check("q_lower", q, ">=", g2, "pullback of Pic(D) is injective", skip=no_q),
+        _check("q_upper", q, "<=", g1 + g2, "Beauville's irregularity bound", skip=no_q),
+        _check("euler_fibration", e, ">=", 4 * (g1 - 1) * (g2 - 1), "BHPV III.11.6",
+               skip="e not supplied" if e is None else ""),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -222,53 +210,37 @@ def xiao_validate(inv: SurfaceInvariants, case: XiaoCase | str) -> GeographyRepo
         raise ValueError("xiao_validate applies to genus-2 fibrations (g1 = 2)")
     chi, q, p_g, K2, g2, eps = inv.chi, inv.q, inv.p_g, inv.K2, inv.g2, inv.epsilon
 
+    thm21 = "Xiao LNM 1137, Thm 2.1"
     checks = [
-        _cmp("eps_pg", eps, "<=", p_g + 1, "Xiao LNM 1137, Thm 2.1"),
-        _cmp("eps_parity", eps % 2, "==", (chi + g2 - 1) % 2, "Xiao LNM 1137, Thm 2.1"),
-        _cmp("eps_lower", eps, ">=", -g2, "Xiao LNM 1137, Thm 2.1"),
-        _cmp("eps_upper", eps, "<=", chi - g2 + 1, "Xiao LNM 1137, Thm 2.1"),
+        _check("eps_pg", eps, "<=", p_g + 1, thm21),
+        _check("eps_parity", eps % 2, "==", (chi + g2 - 1) % 2, thm21),
+        _check("eps_lower", eps, ">=", -g2, thm21),
+        _check("eps_upper", eps, "<=", chi - g2 + 1, thm21),
+        _check("eps_forced_by_q", eps, "==", chi - g2 + 1, thm21,
+               skip="needs q > g2" if q <= g2 else ""),
+        _check("q_iff_eps_forward", eps, "==", p_g + 1 - 2 * g2, thm21,
+               skip="needs q = g2 + 1" if q != g2 + 1 else ""),
+        _check("q_iff_eps_backward", q, "==", g2 + 1, thm21,
+               skip="needs eps = p_g + 1 - 2 g2" if eps != p_g + 1 - 2 * g2 else ""),
     ]
-    if q > g2:
-        checks.append(_cmp("eps_forced_by_q", eps, "==", chi - g2 + 1,
-                           "Xiao LNM 1137, Thm 2.1"))
-    else:
-        checks.append(_skip("eps_forced_by_q", "Xiao LNM 1137, Thm 2.1", "needs q > g2"))
-    if q == g2 + 1:
-        checks.append(_cmp("q_iff_eps_forward", eps, "==", p_g + 1 - 2 * g2,
-                           "Xiao LNM 1137, Thm 2.1"))
-    else:
-        checks.append(_skip("q_iff_eps_forward", "Xiao LNM 1137, Thm 2.1",
-                            "needs q = g2 + 1"))
-    if eps == p_g + 1 - 2 * g2:
-        checks.append(_cmp("q_iff_eps_backward", q, "==", g2 + 1,
-                           "Xiao LNM 1137, Thm 2.1"))
-    else:
-        checks.append(_skip("q_iff_eps_backward", "Xiao LNM 1137, Thm 2.1",
-                            "needs eps = p_g + 1 - 2 g2"))
-
     if case is XiaoCase.CASE_I:
-        if eps <= 0:
-            checks.extend([
-                _skip("k2_lower_i", "Xiao LNM 1137, Thm 2.2(i)", "case (i) assumes eps > 0"),
-                _skip("k2_upper_i", "Xiao LNM 1137, Thm 2.2(i)", "case (i) assumes eps > 0"),
-                _skip("eps_half_i", "Xiao LNM 1137, Thm 2.2(i)", "case (i) assumes eps > 0"),
-            ])
-        else:
-            checks.extend([
-                _cmp("k2_lower_i", 2 * chi + 6 * (g2 - 1), "<=", K2,
-                     "Xiao LNM 1137, Thm 2.2(i)"),
-                _cmp("k2_upper_i", K2, "<=", 3 * chi + 5 * (g2 - 1) - 2 * eps,
-                     "Xiao LNM 1137, Thm 2.2(i)"),
-                _cmp("eps_half_i", Fraction(eps), "<=", Fraction(chi - g2 + 1, 2),
-                     "Xiao LNM 1137, Thm 2.2(i)"),
-            ])
+        thm22i = "Xiao LNM 1137, Thm 2.2(i)"
+        skip = "case (i) assumes eps > 0" if eps <= 0 else ""
+        checks += [
+            _check("k2_lower_i", 2 * chi + 6 * (g2 - 1), "<=", K2, thm22i, skip=skip),
+            _check("k2_upper_i", K2, "<=", 3 * chi + 5 * (g2 - 1) - 2 * eps, thm22i,
+                   skip=skip),
+            _check("eps_half_i", Fraction(eps), "<=", Fraction(chi - g2 + 1, 2), thm22i,
+                   skip=skip),
+        ]
     else:
+        thm22ii = "Xiao LNM 1137, Thm 2.2(ii)"
         lower, upper = _xiao_k2_window_ii(chi, q, p_g, g2, eps)
-        checks.extend([
-            _cmp("k2_lower_ii", lower, "<=", K2, "Xiao LNM 1137, Thm 2.2(ii)"),
-            _cmp("k2_upper_ii", K2, "<=", upper, "Xiao LNM 1137, Thm 2.2(ii)"),
-        ])
-    checks.append(_cmp("k2_8chi", K2, "<=", 8 * chi, "Xiao LNM 1137, p. 18"))
+        checks += [
+            _check("k2_lower_ii", lower, "<=", K2, thm22ii),
+            _check("k2_upper_ii", K2, "<=", upper, thm22ii),
+        ]
+    checks.append(_check("k2_8chi", K2, "<=", 8 * chi, "Xiao LNM 1137, p. 18"))
     return GeographyReport(tuple(checks))
 
 
@@ -354,22 +326,15 @@ def general_type_checks(inv: SurfaceInvariants, minimal: bool) -> GeographyRepor
     """BMY inequality, positivity, and the Noether inequality (minimal case)."""
     if None in (inv.K2, inv.e):
         raise ValueError("general-type checks require K2 and e")
-    checks = [_cmp("bmy", inv.K2, "<=", 3 * inv.e, "Bogomolov-Miyaoka-Yau")]
-    if minimal:
-        checks.append(_cmp("k2_positive", inv.K2, ">", 0, "minimal general type"))
-        if inv.p_g is not None:
-            rhs = Fraction(inv.K2, 2) + 2
-            note = "Noether line" if inv.p_g == rhs else ""
-            checks.append(_cmp("noether_inequality", Fraction(inv.p_g), "<=", rhs,
-                               "Noether inequality", note))
-        else:
-            checks.append(_skip("noether_inequality", "Noether inequality",
-                                "p_g not supplied"))
-    else:
-        checks.append(_skip("k2_positive", "minimal general type", "surface not minimal"))
-        checks.append(_skip("noether_inequality", "Noether inequality",
-                            "surface not minimal"))
-    return GeographyReport(tuple(checks))
+    not_minimal = "" if minimal else "surface not minimal"
+    noether_line = Fraction(inv.K2, 2) + 2
+    return GeographyReport((
+        _check("bmy", inv.K2, "<=", 3 * inv.e, "Bogomolov-Miyaoka-Yau"),
+        _check("k2_positive", inv.K2, ">", 0, "minimal general type", skip=not_minimal),
+        _check("noether_inequality", inv.p_g, "<=", noether_line, "Noether inequality",
+               "Noether line" if inv.p_g == noether_line else "",
+               skip=not_minimal or ("p_g not supplied" if inv.p_g is None else "")),
+    ))
 
 
 def elliptic_c2(d: int):

@@ -118,16 +118,10 @@ def hyperelliptic_bidegree(g: int) -> Bidegree:
     """The unique 2 <= a <= b with a + b = g + 3 and genus g: (2, g + 1).
 
     A genus-g curve of degree g + 3 on the quadric has bidegree solving
-    a + b = g + 3 and ab - a - b + 1 = g; the exhaustive scan certifies
-    uniqueness before returning.
+    a + b = g + 3 and (a - 1)(b - 1) = ab - a - b + 1 = g.  So a - 1 and
+    b - 1 sum to g + 1 and multiply to g: they are the roots 1 and g of
+    t^2 - (g + 1) t + g, and a <= b gives (a, b) = (2, g + 1).
     """
     if g < 2:
         raise ValueError("hyperelliptic bidegree requires g >= 2")
-    solutions = []
-    for a in range(2, (g + 3) // 2 + 1):
-        b = g + 3 - a
-        if a <= b and a * b - a - b + 1 == g:
-            solutions.append(Bidegree(a, b))
-    if solutions != [Bidegree(2, g + 1)]:
-        raise AssertionError(f"bidegree solution set {solutions} is not the expected singleton")
-    return solutions[0]
+    return Bidegree(2, g + 1)

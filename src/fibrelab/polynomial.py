@@ -38,6 +38,7 @@ Conventions (held fixed throughout the package):
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
@@ -500,12 +501,19 @@ def unipoly_to_literal(p: UniPoly):
     return [str(c) for c in p.coefficients]
 
 
+# the whole grammar of a string coefficient token; ``Fraction`` alone would also
+# take decimals, exponents, signs, blanks, underscores and non-ASCII digits
+_COEFF_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def unipoly_from_literal(obj) -> UniPoly:
+    """Parse an ascending list of integers and ``"p"`` / ``"p/q"`` strings."""
     if not isinstance(obj, (list, tuple)):
         raise LiteralError("polynomial literal must be a JSON array")
     coeffs = []
     for tok in obj:
-        if isinstance(tok, bool) or not isinstance(tok, (str, int)):
+        if not (isinstance(tok, str) and _COEFF_TOKEN.fullmatch(tok)
+                or isinstance(tok, int) and not isinstance(tok, bool)):
             raise LiteralError(f"bad coefficient token {tok!r}: expected integer or 'p/q' string")
         try:
             coeffs.append(Fraction(tok))

@@ -121,6 +121,17 @@ def test_parameter_file_genus_must_be_an_integer(tmp_path, capsys, command, genu
     assert "expected an integer" in payload["error"]
 
 
+@pytest.mark.parametrize("command", sorted(_PARAMETER_FILES))
+def test_parameter_file_not_utf8_exits_2(tmp_path, capsys, command):
+    from fibrelab.cli import main
+    path = tmp_path / "params.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([command, "--file", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, schemas.ERROR)
+    assert "cannot read parameter file" in payload["error"]
+
+
 def test_scan_streams_csv_per_row():
     proc = run_cli(["xiao-scan", "--g2", "2", "--chi-max", "6", "--format", "csv"])
     assert proc.returncode == 0

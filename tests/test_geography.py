@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -329,3 +330,111 @@ def test_report_serialisation_shape():
     assert {c["name"] for c in payload["checks"]} >= {"chi_fibration", "chi_genus2"}
     for check in payload["checks"]:
         assert set(check) == {"name", "status", "lhs", "rhs", "citation", "note"}
+
+
+_XIAO_HEAD = ["eps_pg", "eps_parity", "eps_lower", "eps_upper", "eps_forced_by_q",
+              "q_iff_eps_forward", "q_iff_eps_backward"]
+
+# (validator on a seeded tuple, the check names it reports, in order)
+_REPORT_SHAPES = {
+    "chi_bounds": (
+        fibration_chi_bounds,
+        ["chi_fibration", "chi_genus2", "q_lower", "q_upper", "euler_fibration"]),
+    "xiao_i": (
+        lambda inv: xiao_validate(inv, XiaoCase.CASE_I),
+        _XIAO_HEAD + ["k2_lower_i", "k2_upper_i", "eps_half_i", "k2_8chi"]),
+    "xiao_ii": (
+        lambda inv: xiao_validate(inv, XiaoCase.CASE_II),
+        _XIAO_HEAD + ["k2_lower_ii", "k2_upper_ii", "k2_8chi"]),
+    "general_minimal": (
+        lambda inv: general_type_checks(inv, minimal=True),
+        ["bmy", "k2_positive", "noether_inequality"]),
+    "general_not_minimal": (
+        lambda inv: general_type_checks(inv, minimal=False),
+        ["bmy", "k2_positive", "noether_inequality"]),
+}
+
+_BOTH = {False, True}
+_XIAO_CONDITIONAL = ["eps_forced_by_q", "q_iff_eps_forward", "q_iff_eps_backward"]
+
+# per validator: the checks not applicable on every seeded tuple, each with
+# the values "is inapplicable" takes over the tuples; every other check is
+# applicable on all of them
+_INAPPLICABLE_SEEN = {
+    "chi_bounds": dict.fromkeys(["chi_genus2", "q_lower", "q_upper", "euler_fibration"], _BOTH),
+    "xiao_i": dict.fromkeys(_XIAO_CONDITIONAL + ["k2_lower_i", "k2_upper_i", "eps_half_i"],
+                            _BOTH),
+    "xiao_ii": dict.fromkeys(_XIAO_CONDITIONAL, _BOTH),
+    "general_minimal": {"noether_inequality": _BOTH},
+    "general_not_minimal": dict.fromkeys(["k2_positive", "noether_inequality"], {True}),
+}
+
+
+def _seeded_invariants(rng: random.Random, variant: str) -> SurfaceInvariants:
+    def maybe(value):
+        return None if rng.random() < 0.3 else value
+
+    if variant == "chi_bounds":
+        return SurfaceInvariants(chi=rng.randint(-1, 9), q=maybe(rng.randint(0, 6)),
+                                 e=maybe(rng.randint(-4, 90)), g1=rng.randint(1, 4),
+                                 g2=rng.randint(0, 3))
+    if variant.startswith("xiao"):
+        q, p_g, g2 = rng.randint(0, 4), rng.randint(0, 8), rng.randint(0, 3)
+        return SurfaceInvariants(chi=1 - q + p_g, q=q, p_g=p_g, K2=rng.randint(-2, 60),
+                                 g2=g2, epsilon=rng.randint(-g2 - 1, 9))
+    return SurfaceInvariants(K2=rng.randint(-3, 20), e=rng.randint(-3, 60),
+                             p_g=maybe(rng.randint(0, 12)))
+
+
+@pytest.mark.parametrize("variant", sorted(_REPORT_SHAPES))
+def test_report_shape_is_fixed_whether_or_not_a_check_applies(variant):
+    validate, names = _REPORT_SHAPES[variant]
+    rng = random.Random(11)
+    citations = {}
+    applicability = {name: set() for name in names}
+    for _ in range(400):
+        report = validate(_seeded_invariants(rng, variant))
+        assert [c.name for c in report.checks] == names
+        for check in report.checks:
+            assert citations.setdefault(check.name, check.citation) == check.citation
+            inapplicable = check.status is CheckStatus.INAPPLICABLE
+            applicability[check.name].add(inapplicable)
+            if inapplicable:
+                assert check.lhs is None and check.rhs is None and check.note
+            else:
+                assert check.lhs is not None and check.rhs is not None
+    assert applicability == {name: _INAPPLICABLE_SEEN[variant].get(name, {False})
+                             for name in names}
+
+
+def test_not_minimal_takes_precedence_over_missing_p_g():
+    report = general_type_checks(SurfaceInvariants(K2=4, e=20), minimal=False)
+    assert by_name(report, "noether_inequality").note == "surface not minimal"
+    report = general_type_checks(SurfaceInvariants(K2=4, e=20), minimal=True)
+    assert by_name(report, "noether_inequality").note == "p_g not supplied"
+
+
+_NOETHER_ERRORS = ("noether completion is over-determined",
+                   "noether completion is under-determined",
+                   "non-integral completion: chi = ",
+                   "surface invariants violate ")
+
+
+def test_noether_completion_on_a_grid_keeps_inputs_and_both_identities():
+    completed = 0
+    for chi, q, p_g, K2, e in itertools.product([None, -1, 0, 1, 2, 13, 24], repeat=5):
+        supplied = {"chi": chi, "q": q, "p_g": p_g, "K2": K2, "e": e}
+        try:
+            done = noether_complete(SurfaceInvariants(**supplied, g1=2, d=3))
+        except ValueError as exc:
+            assert str(exc).startswith(_NOETHER_ERRORS), str(exc)
+            continue
+        completed += 1
+        result = done.to_dict()
+        assert all(result[k] == v for k, v in supplied.items() if v is not None)
+        assert (result["g1"], result["d"]) == (2, 3)
+        assert done.chi is not None
+        assert done.K2 is None or 12 * done.chi == done.K2 + done.e
+        assert done.q is None or done.chi == 1 - done.q + done.p_g
+        assert None not in (done.K2, done.e) or None not in (done.q, done.p_g)
+    assert completed > 0

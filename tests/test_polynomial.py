@@ -443,6 +443,11 @@ class TestLiterals:
             unipoly_from_literal("not-a-list")
         with pytest.raises(LiteralError):
             unipoly_from_literal([1.5])
+        # forms Fraction() accepts (some only on newer Pythons) that are
+        # outside the integer-or-"p/q" grammar
+        for tok in ["1_0", "1.5", "1e1", " 1/2 ", "+2", "\u0663", "1/2\n", "-"]:
+            with pytest.raises(LiteralError):
+                unipoly_from_literal(["1", tok])
 
 
 class TestNormalisationAudit:

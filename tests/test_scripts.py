@@ -46,8 +46,10 @@ def test_pencil_demo_under_optimisation_matches_golden():
     assert proc.stdout == (TESTS / "golden" / "pencil_demo.json").read_bytes()
 
 
-def test_geography_scan_validates():
-    proc = run_script("geography_scan.py", "--g2", "0", "--chi-max", "4", "--validate")
+@pytest.mark.parametrize("g2", [0, 1, 2])
+def test_geography_scan_validates(g2):
+    # g2 >= 1 reaches the q = g2 stratum that g2 = 0 never produces
+    proc = run_script("geography_scan.py", "--g2", str(g2), "--chi-max", "4", "--validate")
     assert proc.returncode == 0, proc.stderr.decode()
     assert b", 0 failures" in proc.stderr
 
