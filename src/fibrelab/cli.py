@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import curves, geography, linear_systems, pencils
-from .polynomial import LiteralError, unipoly_from_literal
+from .polynomial import LiteralError, integer_from_literal
 
 _SIGN_NOTE = ("note: singular-fibre contributions enter as e(F_s) - e(F), "
               "nonnegative and positive for nodal fibres; some printed forms "
@@ -24,23 +24,37 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _parse_poly(text: str):
-    try:
-        literal = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LiteralError(f"polynomial literal is not valid JSON: {exc}") from exc
-    return unipoly_from_literal(literal)
-
-
 def _load_params_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or too many digits
         raise LiteralError(f"cannot read parameter file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise LiteralError("parameter file must hold a JSON object")
     return obj
+
+
+def _read_parameters(args, from_dict, genus_key: str, *json_flags: str):
+    """``from_dict`` of the ``--file`` object, or of the same keys built from the flags.
+
+    ``--genus`` is passed as given, to the integer reader; the other flags hold JSON text.
+    """
+    if args.file:
+        params = _load_params_file(args.file)
+    else:
+        params = {} if args.genus is None else {genus_key: args.genus}
+        for name in json_flags:
+            if (text := getattr(args, name)) is not None:
+                try:
+                    params[name] = json.loads(text)
+                except ValueError as exc:
+                    raise LiteralError(f"polynomial literal is not valid JSON: {exc}") from exc
+    try:
+        return from_dict(params)
+    except KeyError as exc:
+        raise LiteralError(f"{args.command} parameters lack {exc} (flags --genus "
+                           f"--{' --'.join(json_flags)}, or --file)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -55,33 +69,12 @@ def _run_construct(args) -> dict:
 
 
 def _run_classify(args) -> dict:
-    if args.file:
-        params = _load_params_file(args.file)
-        try:
-            model = curves.HyperellipticModel.from_dict(params)
-        except (KeyError, TypeError) as exc:
-            raise LiteralError(f"model parameter file malformed: {exc}") from exc
-    else:
-        if args.f is None or args.genus is None:
-            raise LiteralError("classify needs --genus and --f (or --file)")
-        model = curves.HyperellipticModel(args.genus, _parse_poly(args.f))
+    model = _read_parameters(args, curves.HyperellipticModel.from_dict, "genus", "f")
     return curves.classify(model).to_dict()
 
 
 def _run_pencil(args) -> dict:
-    if args.file:
-        params = _load_params_file(args.file)
-        try:
-            g = curves.genus_from_literal(params["g"])
-            f0 = unipoly_from_literal(params["f0"])
-            f1 = unipoly_from_literal(params["f1"])
-        except (KeyError, TypeError) as exc:
-            raise LiteralError(f"pencil parameter file malformed: {exc}") from exc
-    else:
-        if None in (args.genus, args.f0, args.f1):
-            raise LiteralError("pencil needs --genus, --f0 and --f1 (or --file)")
-        g, f0, f1 = args.genus, _parse_poly(args.f0), _parse_poly(args.f1)
-    pencil = pencils.Pencil(g, f0, f1)
+    pencil = _read_parameters(args, pencils.Pencil.from_dict, "g", "f0", "f1")
     summary = pencils.total_space_euler(pencil)
     print(_SIGN_NOTE, file=sys.stderr)
     if not summary.euler_exact:
@@ -214,20 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a seeded nodal or split model")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=integer_from_literal, required=True)
     p.add_argument("--kind", choices=["nodal", "split"], default="nodal")
-    p.add_argument("--nodes", type=int, default=0, help="node count (nodal kind)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", type=integer_from_literal, default=0, help="node count (nodal kind)")
+    p.add_argument("--seed", type=integer_from_literal, default=0)
     p.set_defaults(handler=_run_construct)
 
     p = sub.add_parser("classify", help="classify a model y^2 = f(x)")
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus")
     p.add_argument("--f", help="polynomial literal, ascending coefficients")
     p.add_argument("--file", help="JSON file with {genus, f}")
     p.set_defaults(handler=_run_classify)
 
     p = sub.add_parser("pencil", help="simulate a pencil (1-lam) f0 + lam f1")
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus")
     p.add_argument("--f0")
     p.add_argument("--f1")
     p.add_argument("--file", help="JSON file with {g, f0, f1}")
@@ -236,36 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("systems", help="linear-system dimension/genus calculators")
     p.add_argument("--surface", choices=["P1xP1", "F_e", "DelPezzo1"], required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--a2", type=int)
-    p.add_argument("--b2", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--genus", type=int)
-    p.add_argument("--r", type=int)
+    for name in ("a", "b", "a2", "b2", "e", "nodes", "genus", "r"):
+        p.add_argument(f"--{name}", type=integer_from_literal)
     p.set_defaults(handler=_run_systems)
 
     p = sub.add_parser("invariants", help="surface-invariant identities and bounds")
     ops = p.add_subparsers(dest="operation", required=True)
 
     def add_inv_flags(sp):
-        sp.add_argument("--chi", type=int)
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--pg", type=int)
-        sp.add_argument("--k2", type=int)
-        sp.add_argument("--e", type=int)
-        sp.add_argument("--g1", type=int)
-        sp.add_argument("--g2", type=int)
-        sp.add_argument("--epsilon", type=int)
+        for name in ("chi", "q", "pg", "k2", "e", "g1", "g2", "epsilon"):
+            sp.add_argument(f"--{name}", type=integer_from_literal)
 
     sp = ops.add_parser("noether-complete")
     add_inv_flags(sp)
-    sp.add_argument("--d", type=int)
+    sp.add_argument("--d", type=integer_from_literal)
     sp.set_defaults(handler=_run_noether_complete)
     sp = ops.add_parser("blow-up")
     add_inv_flags(sp)
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--n", type=integer_from_literal, default=1)
     sp.set_defaults(handler=_run_blow_up)
     sp = ops.add_parser("chi-bounds")
     add_inv_flags(sp)
@@ -279,19 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--minimal", action="store_true")
     sp.set_defaults(handler=_run_general_type)
     sp = ops.add_parser("elliptic-c2")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=integer_from_literal, required=True)
     sp.set_defaults(handler=_run_elliptic_c2)
     sp = ops.add_parser("slope")
-    sp.add_argument("--k2", type=int, required=True)
-    sp.add_argument("--c2", type=int, required=True)
+    sp.add_argument("--k2", type=integer_from_literal, required=True)
+    sp.add_argument("--c2", type=integer_from_literal, required=True)
     sp.set_defaults(handler=_run_slope)
     sp = ops.add_parser("hurwitz")
-    sp.add_argument("--genus", type=int, required=True)
+    sp.add_argument("--genus", type=integer_from_literal, required=True)
     sp.set_defaults(handler=lambda args: {"bound": geography.hurwitz_bound(args.genus)})
 
     p = sub.add_parser("xiao-scan", help="stream admissible genus-2 (chi, eps, K2) tuples")
-    p.add_argument("--g2", type=int, required=True)
-    p.add_argument("--chi-max", dest="chi_max", type=int, required=True)
+    p.add_argument("--g2", type=integer_from_literal, required=True)
+    p.add_argument("--chi-max", dest="chi_max", type=integer_from_literal, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(handler=_run_xiao_scan)
 

@@ -28,8 +28,8 @@ from typing import Optional, Union
 
 from .factorization import irreducible_factors
 from .polynomial import (
-    LiteralError,
     UniPoly,
+    integer_from_literal,
     repeated_part,
     unipoly_from_literal,
     unipoly_to_literal,
@@ -67,22 +67,7 @@ class HyperellipticModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "HyperellipticModel":
-        return cls(genus_from_literal(obj["genus"]), unipoly_from_literal(obj["f"]))
-
-
-def genus_from_literal(obj) -> int:
-    """A genus read from a parameter file: a JSON integer, or a string holding one.
-
-    Raises LiteralError for anything else, a bool or a float included, so
-    ``2.9`` or ``true`` never passes as a genus.
-    """
-    message = f"bad genus {obj!r}: expected an integer"
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise LiteralError(message)
-    try:
-        return int(obj)
-    except ValueError as exc:
-        raise LiteralError(message) from exc
+        return cls(integer_from_literal(obj["genus"], "genus"), unipoly_from_literal(obj["f"]))
 
 
 @dataclass(frozen=True)

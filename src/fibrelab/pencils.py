@@ -1,30 +1,32 @@
 """Pencils of hyperelliptic models as fibred surfaces over the line.
 
 A pencil ``f_lam = (1 - lam) f0 + lam f1`` of degree 2g+2 models is treated
-as a fibration with P^1 base, but only the affine lam-chart is searched.  A
-singular member at the chart's infinity (``f1 - f0`` as a binary form of
-degree 2g+2) is not classified: its nodes are missing from ``e_total``, which
-is still reported exact, and nothing printed shows it; only
-``FibrationSummary.disc_degree``, which the printed summary omits, falls short
-of 4g+2 then.  Singular fibres sit over the roots of ``Disc_x(f_lam)``.  Node
-counts are exact, never numerical: at a rational root by the gcd chain of its
-member over Q (:func:`fibrelab.curves.classify`), and along a conjugate orbit,
-the roots of an irreducible factor m of the discriminant, by subresultant
-certificates over Q[lam]: the gcd degrees of the fibre are the least k for
-which m does not divide a principal subresultant coefficient psc_k.  Every
-subresultant over Q[lam] comes from one subresultant remainder chain per
-integer node of lam, interpolated (:func:`fibrelab.polynomial.subresultant`).
+as a fibration with P^1 base, but only the affine lam-chart is searched.  The
+fibre at ``lam = oo`` is never smooth: ``f_lam = f0 + lam (f1 - f0)`` is
+linear in lam, so the monodromy around infinity is the hyperelliptic
+involution, which acts as -1 on H^1.  (``y^2 = f1 - f0`` is that fibre only
+after the two-valued rescaling ``y -> sqrt(lam) y``.)  It is not classified,
+and nothing printed stands for it.  Singular fibres sit over the roots of
+``Disc_x(f_lam)``.  Node counts are exact, never numerical: at a rational
+root by the gcd chain of its member over Q (:func:`fibrelab.curves.classify`),
+and along a conjugate orbit, the roots of an irreducible factor m of the
+discriminant, by subresultant certificates over Q[lam]: the gcd degrees of
+the fibre are the least k for which m does not divide a principal
+subresultant coefficient psc_k.  Every subresultant over Q[lam] comes from
+one subresultant remainder chain per integer node of lam, interpolated
+(:func:`fibrelab.polynomial.subresultant`).
 
-The total-space Euler number is assembled fibre-wise as
+The printed ``e_total`` is the affine-chart sum
 
-    e(X) = e(A) e(D) + sum over singular fibres of (e(A_s) - e(A)),
+    e(A) e(D) + sum over singular fibres of (e(A_s) - e(A))
+        = 4(1 - g) + sum over orbits of conjugates * nodes,
 
-where each ordinary node raises the fibre Euler number by one, so the
-contribution of a nodal fibre is exactly its node count.  (Some printed
-forms of this formula carry the opposite sign inside the sum; the convention
-here is forced by e(A_s) >= e(A) and by the strict lower-bound behaviour of
-e(X).)  Worse-than-node fibres contribute their certified node count only
-and flag the total as a lower bound.
+where each ordinary node raises the fibre Euler number by one.  It is not
+e(X): the fibre at infinity, the excess of a worse-than-node fibre over its
+nodes and the excess at a base point (``gcd(f0, f1) != 1``) are left out.
+(Some printed forms of this formula carry the opposite sign inside the sum;
+the convention here is forced by e(A_s) >= e(A).)  Worse-than-node fibres
+contribute their certified node count only and flag the sum as a lower bound.
 """
 
 from __future__ import annotations
@@ -42,7 +44,13 @@ from .curves import (
     seeded_rationals,
 )
 from .factorization import irreducible_factors
-from .polynomial import UniPoly, subresultant, unipoly_to_literal
+from .polynomial import (
+    UniPoly,
+    integer_from_literal,
+    subresultant,
+    unipoly_from_literal,
+    unipoly_to_literal,
+)
 
 NON_CONSTANT = "pencil is non-constant precondition violated"
 EVERYWHERE_SINGULAR = "pencil is everywhere-singular"
@@ -59,10 +67,8 @@ class Pencil:
     def __post_init__(self):
         if self.g < 2:
             raise ValueError("pencil genus must be >= 2")
-        want = 2 * self.g + 2
         for f in (self.f0, self.f1):
-            if f.degree != want:
-                raise ValueError(DEGREE_DROP)
+            HyperellipticModel(self.g, f)
         lc0, lc1 = self.f0.leading_coefficient, self.f1.leading_coefficient
         if self.f0 * lc1 == self.f1 * lc0:
             raise ValueError(NON_CONSTANT)
@@ -87,6 +93,11 @@ class Pencil:
             "f0": unipoly_to_literal(self.f0),
             "f1": unipoly_to_literal(self.f1),
         }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "Pencil":
+        return cls(integer_from_literal(obj["g"], "genus"),
+                   unipoly_from_literal(obj["f0"]), unipoly_from_literal(obj["f1"]))
 
 
 def seeded_pencil(g: int, seed: int) -> Pencil:

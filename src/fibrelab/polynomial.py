@@ -46,17 +46,15 @@ from typing import Iterable
 
 
 class LiteralError(ValueError):
-    """Malformed polynomial literal (wrong JSON shape or token)."""
+    """Malformed literal: a wrong JSON shape, or a token outside the grammar."""
 
 
 def _coerce(value):
-    """Coerce ints/strings to Fraction; pass exotic coefficient types through."""
+    """Read ints and literal strings as Fractions; pass exotic coefficient types through."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (int, str)):
+        return rational_from_literal(value)
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not exact; use Fraction")
     return value
@@ -501,22 +499,38 @@ def unipoly_to_literal(p: UniPoly):
     return [str(c) for c in p.coefficients]
 
 
-# the whole grammar of a string coefficient token; ``Fraction`` alone would also
-# take decimals, exponents, signs, blanks, underscores and non-ASCII digits
-_COEFF_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the whole grammar of a string token; ``int`` and ``Fraction`` alone would also
+# take blanks, ``_`` separators, a ``+`` sign and non-ASCII digits, and
+# ``Fraction`` decimals and exponents
+INTEGER_PATTERN = "-?[0-9]+"
+RATIONAL_PATTERN = INTEGER_PATTERN + "(/[0-9]+)?"
+_INTEGER_TOKEN = re.compile(INTEGER_PATTERN)
+_RATIONAL_TOKEN = re.compile(RATIONAL_PATTERN)
+
+
+def _read_token(obj, token, parse, what: str, expected: str):
+    if not (isinstance(obj, str) and token.fullmatch(obj)
+            or isinstance(obj, int) and not isinstance(obj, bool)):
+        raise LiteralError(f"bad {what} {obj!r}: expected {expected}")
+    try:
+        return parse(obj)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise LiteralError(f"bad {what} {obj!r}: {exc}") from exc
+
+
+def integer_from_literal(obj, what: str = "integer") -> int:
+    """A JSON integer (not a bool), or a string matching ``-?[0-9]+`` in full."""
+    return _read_token(obj, _INTEGER_TOKEN, int, what, "an integer")
+
+
+def rational_from_literal(obj) -> Fraction:
+    """A JSON integer (not a bool), or a string matching ``-?[0-9]+(/[0-9]+)?`` in full."""
+    return _read_token(obj, _RATIONAL_TOKEN, Fraction, "coefficient token",
+                       "integer or 'p/q' string")
 
 
 def unipoly_from_literal(obj) -> UniPoly:
     """Parse an ascending list of integers and ``"p"`` / ``"p/q"`` strings."""
     if not isinstance(obj, (list, tuple)):
         raise LiteralError("polynomial literal must be a JSON array")
-    coeffs = []
-    for tok in obj:
-        if not (isinstance(tok, str) and _COEFF_TOKEN.fullmatch(tok)
-                or isinstance(tok, int) and not isinstance(tok, bool)):
-            raise LiteralError(f"bad coefficient token {tok!r}: expected integer or 'p/q' string")
-        try:
-            coeffs.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LiteralError(f"bad coefficient token {tok!r}: {exc}") from exc
-    return UniPoly(tuple(coeffs))
+    return UniPoly(tuple(rational_from_literal(tok) for tok in obj))

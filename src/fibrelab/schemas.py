@@ -4,7 +4,9 @@ The golden-file test suite validates each documented CLI example against
 these; downstream consumers can import them to do the same.
 """
 
-_COEFF = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
+from .polynomial import RATIONAL_PATTERN
+
+_COEFF = {"type": "string", "pattern": f"^{RATIONAL_PATTERN}$"}
 _POLY = {"type": "array", "items": _COEFF}
 _INT_OR_NULL = {"type": ["integer", "null"]}
 

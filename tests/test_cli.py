@@ -158,3 +158,27 @@ def test_systems_query_errors(argv, message, capsys):
     from fibrelab.cli import main
     assert main(["systems", *argv]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
+def test_printed_pencil_reads_back_through_the_parameter_file(tmp_path):
+    golden = (GOLDEN / "pencil_demo.json").read_bytes()
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(json.loads(golden)["pencil"]))
+    proc = run_cli(["pencil", "--file", str(path)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == golden
+
+
+def _readme_json(readme: str, start: str):
+    """The first JSON value after ``start`` in the README; comment lines lose their ``#``."""
+    rest = readme[readme.index(start) + len(start):]
+    text = "\n".join(line.lstrip("#") for line in rest.split("\n"))
+    return json.JSONDecoder().raw_decode(text.lstrip())[0]
+
+
+def test_readme_examples_match_the_goldens():
+    readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert _readme_json(readme, "# classify a model:") == json.loads(
+        (GOLDEN / "classify_smooth.json").read_bytes())
+    assert _readme_json(readme, "quartic Galois orbit:\n\n```json") == json.loads(
+        (GOLDEN / "pencil_demo.json").read_bytes())

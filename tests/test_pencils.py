@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -70,6 +71,19 @@ class TestPencilValidation:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError, match="degree drop"):
             Pencil(2, UniPoly.from_roots([0, 1, 2, 3, 4]), construct_nodal(2, 0, 1).f)
+
+    def test_member_of_too_high_degree_reported_as_such(self):
+        # the same message classify gives for the same polynomial
+        with pytest.raises(ValueError, match=r"model degree 7 exceeds 2g\+2 = 6"):
+            Pencil(2, UniPoly.from_roots(range(7)), construct_nodal(2, 0, 1).f)
+        with pytest.raises(ValueError, match=r"model degree 7 exceeds 2g\+2 = 6"):
+            Pencil(2, construct_nodal(2, 0, 1).f, UniPoly.from_roots(range(7)))
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_printed_form_reads_back(self, g):
+        for seed in range(4):
+            pencil = seeded_pencil(g, seed)
+            assert Pencil.from_dict(json.loads(json.dumps(pencil.to_dict()))) == pencil
 
     def test_non_constant_message_is_stable(self):
         assert NON_CONSTANT == "pencil is non-constant precondition violated"
