@@ -6,9 +6,9 @@ locate its singular fibres exactly, and tabulate the Euler accounting:
 
     python scripts/pencil_census.py --genus 2 --count 10
 
-Every row re-checks e_total = e(A) e(D) + sum of node contributions and the
-lower bound 4(g1 - 1)(g2 - 1); a failing row names its seed and exits with
-status 1, also under python -O.
+The base is P^1, so every row re-checks e_total = e(A) e(D) + sum of node
+contributions and the lower bound 4 - 4g = e(A) e(P^1); a failing row names
+its seed and exits with status 1, also under python -O.
 """
 
 import argparse

@@ -178,11 +178,12 @@ def _run_slope(args) -> dict:
 
 
 def _run_xiao_scan(args) -> dict | None:
+    rows = geography.xiao_admissible_scan(args.g2, args.chi_max)  # checks before any output
     csv = args.format == "csv"
     if csv:
         sys.stdout.write(geography.CSV_HEADER + "\n")
     collected, saw_eps0 = [], False
-    for row in geography.xiao_admissible_scan(args.g2, args.chi_max):
+    for row in rows:
         saw_eps0 = saw_eps0 or "eps0" in row.flags
         if csv:  # streamed as computed
             sys.stdout.write(row.csv_row() + "\n")

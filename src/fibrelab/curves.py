@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .factorization import irreducible_factors
+from .factorization import galois_orbits
 from .polynomial import (
     UniPoly,
+    _coerce,
     integer_from_literal,
     repeated_part,
     unipoly_from_literal,
@@ -157,20 +158,30 @@ def _splitmix64(state: int):
     return (z ^ (z >> 31)) & _MASK, state
 
 
+_NUMERATORS, _DENOMINATORS = range(-20, 21), range(1, 7)
+# distinct values of the stream: 2/4 and 1/2 are one value
+_STREAM_VALUES = len({Fraction(p, q) for p in _NUMERATORS for q in _DENOMINATORS})
+
+
 def seeded_rationals(seed: int, count: int):
     """``count`` pairwise distinct small rationals, reproducible bit-for-bit.
 
     Splitmix-style stream mapped onto numerators in [-20, 20] and
     denominators in [1, 6], drawing again on collisions (Fraction equality,
-    so 2/4 collides with 1/2).
+    so 2/4 collides with 1/2).  A ``count`` above the number of distinct
+    values in that range raises ``ValueError`` before anything is drawn.
     """
+    if count > _STREAM_VALUES:
+        raise ValueError(f"{count} distinct seeded rationals requested; "
+                         f"the stream has only {_STREAM_VALUES}")
     state = seed & _MASK
     out = []
     seen = set()
     while len(out) < count:
         v1, state = _splitmix64(state)
         v2, state = _splitmix64(state)
-        r = Fraction(v1 % 41 - 20, v2 % 6 + 1)
+        r = Fraction(_NUMERATORS[v1 % len(_NUMERATORS)],
+                     _DENOMINATORS[v2 % len(_DENOMINATORS)])
         if r in seen:
             continue
         seen.add(r)
@@ -256,23 +267,15 @@ def classify(model: HyperellipticModel) -> FibreClass:
 def singular_points(model: HyperellipticModel):
     """Singular points of y^2 = f(x), one entry per Galois orbit.
 
-    Rational repeated roots are reported exactly; conjugate orbits by the
-    irreducible polynomial they satisfy.  They are the irreducible factors
-    of ``u1 = gcd(f, f')``, where a root of multiplicity ``k`` in f has
-    multiplicity ``k - 1``; the local type is ``node`` iff ``k`` is exactly
-    2, so iff the factor is simple in ``u1``.
+    They are the Galois orbits of the roots of ``u1 = gcd(f, f')``, named
+    and ordered by :func:`fibrelab.factorization.galois_orbits`: rational
+    roots exactly, conjugate orbits by their minimal polynomial.  A root of
+    multiplicity ``k`` in f has multiplicity ``k - 1`` in ``u1``; the local
+    type is ``node`` iff ``k`` is exactly 2, so iff the orbit is simple in
+    ``u1``.
     """
-    rational = []
-    orbits = []
-    for irr, mult in irreducible_factors(repeated_part(model.f)):
-        local = "node" if mult == 1 else "worse"
-        if irr.degree == 1:
-            rational.append(SingularPoint(-irr.coefficients[0], local))
-        else:
-            orbits.append(SingularPoint(irr, local))
-    rational.sort(key=lambda s: s.location)
-    orbits.sort(key=lambda s: (s.location.degree, s.location.coefficients))
-    return rational + orbits
+    return [SingularPoint(location, "node" if mult == 1 else "worse")
+            for location, mult in galois_orbits(repeated_part(model.f))]
 
 
 def homogenize_weighted(model: HyperellipticModel) -> WeightedModel:
@@ -281,8 +284,8 @@ def homogenize_weighted(model: HyperellipticModel) -> WeightedModel:
 
 
 def j_invariant(a, b) -> Fraction:
-    """j of the smooth cubic y^2 = x^3 + a x + b."""
-    a, b = Fraction(a), Fraction(b)
+    """j of the smooth cubic y^2 = x^3 + a x + b; ``a``, ``b`` read as coefficients are."""
+    a, b = _coerce(a), _coerce(b)
     disc = 4 * a**3 + 27 * b**2
     if not disc:
         raise ValueError("singular cubic has no j-invariant")

@@ -3,7 +3,8 @@
 Everything else in the package is factorization-free; the two places that
 genuinely need irreducible factors (minimal polynomials of conjugate
 singular points, and the moduli for per-fibre node counting at algebraic
-pencil parameters) go through this thin exact bridge.  It hands sympy's
+pencil parameters) read them through :func:`galois_orbits`, which names and
+orders the roots of a polynomial one Galois orbit at a time.  It hands sympy's
 dense ``Z[x]`` layer the primitive integer multiple of the input, which has
 the same monic factors.  Factors come back monic and in a deterministic order.
 
@@ -75,3 +76,15 @@ def irreducible_factors(p: UniPoly):
     out = [(_monic_fraction([int(c) for c in reversed(f)]), mult) for f, mult in factors]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coefficients))
     return out
+
+
+def galois_orbits(p: UniPoly):
+    """Roots of ``p`` as ``[(location, multiplicity), ...]``, one per Galois orbit.
+
+    Rational roots come first, ascending, each as its ``Fraction``; then each
+    conjugate orbit as its monic minimal polynomial, in
+    :func:`irreducible_factors` order (by degree, then coefficient tuple).
+    """
+    factors = irreducible_factors(p)
+    rational = sorted((-m.coefficients[0], mult) for m, mult in factors if m.degree == 1)
+    return rational + [(m, mult) for m, mult in factors if m.degree > 1]

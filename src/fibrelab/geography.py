@@ -279,19 +279,16 @@ def xiao_admissible_scan(g2: int, chi_max: int) -> Iterator[ScanRow]:
     value eps = chi + 1 forces q = g2 + 1, and the row is flagged).  Rows with
     eps = 0 carry a weaker existence guarantee and are flagged "eps0".
 
-    Yields rows lazily in (chi, eps) order.
+    The arguments are checked at the call; rows are then yielded lazily in
+    (chi, eps) order.
     """
     if g2 < 0:
         raise ValueError("base genus must be nonnegative")
     if chi_max < g2 - 1:
         raise ValueError("chi_max below the minimum chi = g2 - 1")
-    for chi in range(g2 - 1, chi_max + 1):
-        for eps in range(0, chi - g2 + 2):
-            if (eps - (chi + g2 - 1)) % 2:
-                continue
-            row = _scan_row(g2, chi, eps)
-            if row is not None:
-                yield row
+    rows = (_scan_row(g2, chi, eps) for chi in range(g2 - 1, chi_max + 1)
+            for eps in range((chi + g2 - 1) % 2, chi - g2 + 2, 2))
+    return (row for row in rows if row is not None)
 
 
 def _scan_row(g2: int, chi: int, eps: int) -> Optional[ScanRow]:

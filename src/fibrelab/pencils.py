@@ -1,20 +1,21 @@
 """Pencils of hyperelliptic models as fibred surfaces over the line.
 
 A pencil ``f_lam = (1 - lam) f0 + lam f1`` of degree 2g+2 models is treated
-as a fibration with P^1 base, but only the affine lam-chart is searched.  The
-fibre at ``lam = oo`` is never smooth: ``f_lam = f0 + lam (f1 - f0)`` is
+as a fibration over the base P^1, but only the affine lam-chart is searched.
+The fibre at ``lam = oo`` is never smooth: ``f_lam = f0 + lam (f1 - f0)`` is
 linear in lam, so the monodromy around infinity is the hyperelliptic
 involution, which acts as -1 on H^1.  (``y^2 = f1 - f0`` is that fibre only
 after the two-valued rescaling ``y -> sqrt(lam) y``.)  It is not classified,
 and nothing printed stands for it.  Singular fibres sit over the roots of
-``Disc_x(f_lam)``.  Node counts are exact, never numerical: at a rational
-root by the gcd chain of its member over Q (:func:`fibrelab.curves.classify`),
-and along a conjugate orbit, the roots of an irreducible factor m of the
-discriminant, by subresultant certificates over Q[lam]: the gcd degrees of
-the fibre are the least k for which m does not divide a principal
-subresultant coefficient psc_k.  Every subresultant over Q[lam] comes from
-one subresultant remainder chain per integer node of lam, interpolated
-(:func:`fibrelab.polynomial.subresultant`).
+``Disc_x(f_lam)``, one record per Galois orbit of roots as
+:func:`fibrelab.factorization.galois_orbits` names and orders them.  Node
+counts are exact, never numerical: at a rational root by the gcd chain of its
+member over Q (:func:`fibrelab.curves.classify`), and along a conjugate orbit,
+the roots of an irreducible factor m of the discriminant, by subresultant
+certificates over Q[lam]: the gcd degrees of the fibre are the least k for
+which m does not divide a principal subresultant coefficient psc_k.  Every
+subresultant over Q[lam] comes from one subresultant remainder chain per
+integer node of lam, interpolated (:func:`fibrelab.polynomial.subresultant`).
 
 The printed ``e_total`` is the affine-chart sum
 
@@ -31,9 +32,9 @@ contribute their certified node count only and flag the sum as a lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .curves import (
     DEGREE_DROP,
@@ -43,9 +44,10 @@ from .curves import (
     classify_signature,
     seeded_rationals,
 )
-from .factorization import irreducible_factors
+from .factorization import galois_orbits
 from .polynomial import (
     UniPoly,
+    _coerce,
     integer_from_literal,
     subresultant,
     unipoly_from_literal,
@@ -73,19 +75,15 @@ class Pencil:
         if self.f0 * lc1 == self.f1 * lc0:
             raise ValueError(NON_CONSTANT)
 
-    def coefficient_polys(self):
-        """Coefficient of x^k as a polynomial in lam (degree <= 1), k = 0..2g+2."""
-        out = []
-        for k in range(2 * self.g + 3):
-            a = self.f0.coefficients[k]
-            b = self.f1.coefficients[k]
-            out.append(UniPoly((a, b - a)))
-        return out
+    def member(self) -> UniPoly:
+        """f_lam as one polynomial in x whose coefficients are ``a + (b - a) lam`` in Q[lam]."""
+        return UniPoly(tuple(UniPoly((a, b - a))
+                             for a, b in zip(self.f0.coefficients, self.f1.coefficients)))
 
     def fibre_at(self, lam) -> UniPoly:
-        """The member f_lam; may drop degree for non-proportional leading terms."""
-        lam = Fraction(lam)
-        return UniPoly(tuple(c(lam) for c in self.coefficient_polys()))
+        """The member f_lam (``lam`` read as a coefficient is); may drop degree."""
+        lam = _coerce(lam)
+        return UniPoly(tuple(c(lam) for c in self.member().coefficients))
 
     def to_dict(self) -> dict:
         return {
@@ -141,15 +139,17 @@ class SingularFibreRecord:
 
 @dataclass(frozen=True)
 class FibrationSummary:
+    """Euler accounting over the base P^1 (``e_base = 2``, ``bound = 4 - 4g``),
+    one record per Galois orbit in :func:`fibrelab.factorization.galois_orbits` order."""
+
     e_fibre: int
     e_base: int
     e_total: int
     singular_fibres: Tuple[SingularFibreRecord, ...]
     bound: int
     strict: bool
-    euler_exact: bool = True  # False when a NonNodal fibre makes e_total a lower bound
-    # deg Disc_x(f_lam), set by total_space_euler; not part of the printed summary
-    disc_degree: Optional[int] = field(default=None, compare=False)
+    euler_exact: bool  # False when a NonNodal fibre makes e_total a lower bound
+    disc_degree: int  # deg Disc_x(f_lam); not part of the printed summary
 
     def to_dict(self) -> dict:
         return {
@@ -172,7 +172,7 @@ def pencil_discriminant(pencil: Pencil) -> UniPoly:
     keeps full degree.  Identically zero means every member is
     singular (e.g. f0 and f1 share a square factor) and raises.
     """
-    f = UniPoly(tuple(pencil.coefficient_polys()))
+    f = pencil.member()
     res = subresultant(f, f.derivative(), 0)[0]
     n = 2 * pencil.g + 2
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
@@ -226,59 +226,42 @@ def orbit_signature(f: UniPoly, m: UniPoly):
 
 
 def singular_fibres(pencil: Pencil) -> list:
-    """Singular-fibre records, one per Galois orbit of discriminant roots.
-
-    For each irreducible factor m of the discriminant, a rational parameter
-    (deg m = 1) is classified by the gcd chain over Q on its member, and a
-    conjugate orbit by the subresultant signature of the whole pencil over
-    Q[lam]/(m) (:func:`orbit_signature`); both routes end in
-    :func:`fibrelab.curves.classify_signature`.  Records are ordered:
-    rational parameters ascending, then orbits by (degree, minimal
-    polynomial).
-    """
-    return _fibre_records(pencil, pencil_discriminant(pencil))
+    """Singular-fibre records of :func:`total_space_euler`, one per Galois orbit."""
+    return list(total_space_euler(pencil).singular_fibres)
 
 
-def _fibre_records(pencil: Pencil, disc: UniPoly) -> list:
-    """:func:`singular_fibres` for a pencil whose discriminant ``disc`` is known."""
-    f = UniPoly(tuple(pencil.coefficient_polys()))
-    records = []
-    for m, _mult in irreducible_factors(disc):
-        if m.degree == 1:
-            lam = -m.coefficients[0]
-            fibre = pencil.fibre_at(lam)
-            if fibre.degree != 2 * pencil.g + 2:
-                raise ValueError(f"{DEGREE_DROP} at parameter {lam}")
-            fc = classify(HyperellipticModel(pencil.g, fibre))
-            records.append(SingularFibreRecord(lam, 1, fc.t, fc.kind))
-        else:
-            fc = classify_signature(pencil.g, *orbit_signature(f, m))
-            records.append(SingularFibreRecord(m, m.degree, fc.t, fc.kind))
-    rational = sorted((r for r in records if isinstance(r.parameter, Fraction)),
-                      key=lambda r: r.parameter)
-    orbits = sorted((r for r in records if not isinstance(r.parameter, Fraction)),
-                    key=lambda r: (r.parameter.degree, r.parameter.coefficients))
-    return rational + orbits
-
-
-def euler_summary(g1: int, g2: int,
-                  records: Sequence[SingularFibreRecord]) -> FibrationSummary:
-    """Assemble the fibre-wise Euler accounting for arbitrary (g1, g2)."""
-    e_fibre = 2 - 2 * g1
-    e_base = 2 - 2 * g2
-    bound = 4 * (g1 - 1) * (g2 - 1)
+def euler_summary(g: int, records: Sequence[SingularFibreRecord],
+                  disc_degree: int) -> FibrationSummary:
+    """Assemble the fibre-wise Euler accounting of a genus-g fibration over P^1."""
+    e_fibre = 2 - 2 * g
+    bound = 4 - 4 * g
     contribution = sum(r.conjugate_count * r.nodes_per_fibre for r in records)
     exact = all(r.fibre_class != FibreKind.NON_NODAL for r in records)
-    e_total = e_fibre * e_base + contribution
+    e_total = 2 * e_fibre + contribution
     if e_total < bound:
         raise ValueError(f"e_total {e_total} below the lower bound {bound}: "
                          "a record carries a negative node contribution")
-    strict = bool(records) and g1 != 1
-    return FibrationSummary(e_fibre, e_base, e_total, tuple(records), bound, strict, exact)
+    strict = bool(records) and g != 1
+    return FibrationSummary(e_fibre, 2, e_total, tuple(records), bound, strict, exact,
+                            disc_degree)
 
 
 def total_space_euler(pencil: Pencil) -> FibrationSummary:
-    """Locate singular fibres and evaluate the Euler-number formula."""
+    """One pass: the discriminant, its Galois orbits, one record per orbit.
+
+    A rational parameter is classified by the gcd chain over Q on its member,
+    a conjugate orbit by :func:`orbit_signature`.
+    """
     disc = pencil_discriminant(pencil)
-    summary = euler_summary(pencil.g, 0, _fibre_records(pencil, disc))
-    return replace(summary, disc_degree=disc.degree)
+    f = pencil.member()
+    records = []
+    for location, _mult in galois_orbits(disc):
+        if isinstance(location, Fraction):
+            fibre = pencil.fibre_at(location)
+            if fibre.degree != 2 * pencil.g + 2:
+                raise ValueError(f"{DEGREE_DROP} at parameter {location}")
+            fc, count = classify(HyperellipticModel(pencil.g, fibre)), 1
+        else:
+            fc, count = classify_signature(pencil.g, *orbit_signature(f, location)), location.degree
+        records.append(SingularFibreRecord(location, count, fc.t, fc.kind))
+    return euler_summary(pencil.g, records, disc.degree)

@@ -141,6 +141,26 @@ def test_scan_streams_csv_per_row():
     assert chis == sorted(chis)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bounds", [["--g2", "-1", "--chi-max", "4"],
+                                    ["--g2", "3", "--chi-max", "1"]])
+def test_scan_argument_errors_print_only_the_error(fmt, bounds):
+    # the arguments are checked before the CSV header is written
+    proc = run_cli(["xiao-scan", *bounds, "--format", fmt])
+    assert proc.returncode == 1
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 1
+    jsonschema.validate(json.loads(lines[0]), schemas.ERROR)
+
+
+def test_more_roots_than_the_seeded_stream_holds_exits_1():
+    # genus 77 needs 156 distinct roots; the stream's range holds 155
+    proc = subprocess.run([sys.executable, "-m", "fibrelab", "construct", "--genus", "77"],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 1
+    jsonschema.validate(json.loads(proc.stdout), schemas.ERROR)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--surface", "P1xP1", "--query", "bogus"], "unknown P1xP1 query 'bogus'"),
     (["--surface", "F_e", "--query", "bogus"], "query 'bogus' needs --e"),

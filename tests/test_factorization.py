@@ -8,7 +8,12 @@ import sympy
 
 from fibrelab import factorization
 from fibrelab.curves import construct_nodal, construct_split
-from fibrelab.factorization import _CERTIFY_FROM_DEGREE, _certified_irreducible, irreducible_factors
+from fibrelab.factorization import (
+    _CERTIFY_FROM_DEGREE,
+    _certified_irreducible,
+    galois_orbits,
+    irreducible_factors,
+)
 from fibrelab.pencils import Pencil, pencil_discriminant, seeded_pencil
 from fibrelab.polynomial import UniPoly
 
@@ -170,6 +175,33 @@ class TestSympyRoute:
     def test_constants_have_no_factors(self, c):
         p = UniPoly.constant(c)
         assert irreducible_factors(p) == sympy_factors(p) == []
+
+
+class TestGaloisOrbits:
+    def test_rational_roots_ascend_then_orbits_follow_in_factor_order(self):
+        quartic = UniPoly((2, 0, 0, 0, 1))  # x^4 + 2
+        cubic_a = UniPoly((-2, 0, 0, 1))  # x^3 - 2
+        cubic_b = UniPoly((-3, 0, 0, 1))  # x^3 - 3
+        quadratic = UniPoly((-2, 0, 1))  # x^2 - 2
+        roots = [Fraction(5, 2), 0, -3, Fraction(-1, 3), 7]
+        p = quartic * cubic_b * cubic_a * quadratic * UniPoly.from_roots(roots, leading=-6)
+        assert galois_orbits(p) == [
+            (Fraction(-3), 1), (Fraction(-1, 3), 1), (Fraction(0), 1),
+            (Fraction(5, 2), 1), (Fraction(7), 1),
+            (quadratic, 1), (cubic_b, 1), (cubic_a, 1), (quartic, 1)]
+
+    def test_multiplicities_are_kept(self):
+        quadratic = UniPoly((-3, 0, 1))
+        p = quadratic ** 3 * UniPoly.from_roots([2, 2, Fraction(-1, 2)]) * 4
+        assert galois_orbits(p) == [(Fraction(-1, 2), 1), (Fraction(2), 2), (quadratic, 3)]
+
+    @pytest.mark.parametrize("c", [1, Fraction(-3, 4)])
+    def test_constants_have_no_orbits(self, c):
+        assert galois_orbits(UniPoly.constant(c)) == []
+
+    def test_zero_raises(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            galois_orbits(UniPoly.zero())
 
 
 def test_sympy_loads_on_the_first_factorization():

@@ -1,9 +1,10 @@
 """One grammar for integer and rational tokens, whichever way they come in.
 
 Each token gets the same verdict, and when accepted the same value, from the
-reader in ``fibrelab.polynomial``, from the ``UniPoly`` constructor (rational
-tokens), from the CLI flags and from a ``--file`` parameter object.  A
-rejection on the command line exits 2.
+reader in ``fibrelab.polynomial``, from the ``UniPoly`` constructor,
+``Pencil.fibre_at`` and ``j_invariant`` (rational tokens), from the CLI flags
+and from a ``--file`` parameter object.  A rejection on the command line
+exits 2.
 """
 
 import json
@@ -15,6 +16,8 @@ import pytest
 
 from fibrelab import schemas
 from fibrelab.cli import main
+from fibrelab.curves import j_invariant
+from fibrelab.pencils import seeded_pencil
 from fibrelab.polynomial import (
     LiteralError,
     UniPoly,
@@ -40,6 +43,15 @@ TOKENS = [
     ("1.5", None, None),
 ]
 IDS = [json.dumps(tok) for tok, _, _ in TOKENS]
+
+PENCIL = seeded_pencil(2, 0)
+# library entry points that take one rational value
+RATIONAL_READERS = {
+    "UniPoly": lambda t: UniPoly((t, 1)).coefficients[0],
+    "fibre_at": PENCIL.fibre_at,
+    "j_invariant a": lambda t: j_invariant(t, 1),
+    "j_invariant b": lambda t: j_invariant(1, t),
+}
 
 
 def run(capsys, argv):
@@ -106,17 +118,24 @@ def test_rational_token_reads_the_same_on_every_route(capsys, tmp_path, tok, _, 
     flags = ["classify", "--genus", "2", "--f", json.dumps(sextic(tok))]
     file_params = {"genus": 2, "f": sextic(tok)}
     if value is None:
-        for read in (rational_from_literal, lambda t: UniPoly((t, 1))):
+        for read in (rational_from_literal, *RATIONAL_READERS.values()):
             with pytest.raises(LiteralError):
                 read(tok)
         assert_rejected(run(capsys, flags))
         assert_rejected(run_file(capsys, tmp_path, "classify", file_params))
         return
     assert rational_from_literal(tok) == value
-    assert UniPoly((tok, 1)).coefficients == (value, 1)
+    for name, read in RATIONAL_READERS.items():
+        assert read(tok) == read(value), name
     canonical = run(capsys, ["classify", "--genus", "2", "--f", json.dumps(sextic(str(value)))])
     assert run(capsys, flags) == canonical
     assert run_file(capsys, tmp_path, "classify", file_params) == canonical
+
+
+@pytest.mark.parametrize("name", RATIONAL_READERS)
+def test_a_float_is_refused_as_inexact(name):
+    with pytest.raises(TypeError):
+        RATIONAL_READERS[name](0.5)
 
 
 def test_pencil_genus_flag_uses_the_same_reader(capsys):

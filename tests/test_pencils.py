@@ -48,15 +48,10 @@ def planted_pencil(g, t, lam_star, seed=5, smooth_seed=6) -> Pencil:
     return Pencil(g, f0, smooth)
 
 
-def generic_member(pencil: Pencil) -> UniPoly:
-    """f_lam as one polynomial in x with coefficients in Q[lam]."""
-    return UniPoly(tuple(pencil.coefficient_polys()))
-
-
 def pulled_back_member(pencil: Pencil) -> UniPoly:
     """f_lam along lam = mu^2, coefficients in Q[mu]."""
     mu_squared = UniPoly((0, 0, 1))
-    return UniPoly(tuple(c.compose(mu_squared) for c in pencil.coefficient_polys()))
+    return UniPoly(tuple(c.compose(mu_squared) for c in pencil.member().coefficients))
 
 
 SQRT2 = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))  # mu^2 - 2
@@ -195,8 +190,8 @@ class TestSingularFibres:
         # over Q(alpha), alpha a root of the orbit's minimal polynomial
         records = singular_fibres(DEMO)
         orbit = next(r for r in records if not isinstance(r.parameter, Fraction))
-        signature = number_field_signature(generic_member(DEMO), orbit.parameter)
-        assert signature == orbit_signature(generic_member(DEMO), orbit.parameter)
+        signature = number_field_signature(DEMO.member(), orbit.parameter)
+        assert signature == orbit_signature(DEMO.member(), orbit.parameter)
         assert signature[0] == orbit.nodes_per_fibre
 
 
@@ -206,7 +201,7 @@ class TestOrbitOracle:
     @pytest.mark.parametrize("seed", range(5))
     def test_every_orbit_of_seeded_genus_2_pencils(self, seed):
         pencil = seeded_pencil(2, seed)
-        f = generic_member(pencil)
+        f = pencil.member()
         orbits = [m for m, _ in irreducible_factors(pencil_discriminant(pencil)) if m.degree > 1]
         assert orbits
         for m in orbits:
@@ -224,7 +219,7 @@ class TestEulerFormula:
         assert summary.disc_degree == 10
 
     def test_empty_fibre_list_gives_product_value(self):
-        summary = euler_summary(2, 0, [])
+        summary = euler_summary(2, [], 0)
         assert summary.e_total == summary.bound == -4
         assert not summary.strict
 
@@ -237,12 +232,13 @@ class TestEulerFormula:
         assert rec.nodes_per_fibre == 3
 
     def test_arbitrary_genera_bound(self):
-        summary = euler_summary(3, 2, [])
-        assert summary.e_fibre == -4 and summary.e_base == -2
-        assert summary.e_total == 8 == summary.bound
+        for g in range(2, 6):
+            summary = euler_summary(g, [], 0)
+            assert summary.e_fibre == 2 - 2 * g and summary.e_base == 2
+            assert summary.e_total == 4 - 4 * g == summary.bound
 
     def test_noether_formula_examples(self):
-        s6 = euler_summary(2, 0, singular_fibres(seeded_pencil(2, 3)))
+        s6 = euler_summary(2, singular_fibres(seeded_pencil(2, 3)), 10)
         assert s6.e_total == 6
         assert noether_complete(SurfaceInvariants(K2=6, e=s6.e_total)).chi == 1
         with pytest.raises(ValueError, match="non-integral"):
@@ -392,7 +388,7 @@ def test_negative_node_count_rejected_under_optimisation():
         "    raise SystemExit(2)\n"
         "record = SingularFibreRecord(Fraction(0), 1, -10, FibreKind.IRREDUCIBLE_NODAL)\n"
         "try:\n"
-        "    euler_summary(2, 0, [record])\n"
+        "    euler_summary(2, [record], 1)\n"
         "except ValueError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
