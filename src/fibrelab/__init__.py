@@ -5,11 +5,9 @@ from .curves import (
     FibreClass,
     FibreKind,
     HyperellipticModel,
-    WeightedModel,
     classify,
     construct_nodal,
     construct_split,
-    homogenize_weighted,
     j_invariant,
     singular_points,
 )
@@ -48,7 +46,6 @@ from .pencils import (
     SingularFibreRecord,
     pencil_discriminant,
     seeded_pencil,
-    singular_fibres,
     total_space_euler,
 )
 from .polynomial import (

@@ -64,8 +64,10 @@ def _read_parameters(args, from_dict, genus_key: str, *json_flags: str):
 
 def _run_construct(args) -> dict:
     if args.kind == "split":
+        if args.nodes is not None:
+            raise LiteralError("construct --kind split does not read --nodes")
         return curves.construct_split(args.genus, args.seed).to_dict()
-    return curves.construct_nodal(args.genus, args.nodes, args.seed).to_dict()
+    return curves.construct_nodal(args.genus, args.nodes or 0, args.seed).to_dict()
 
 
 def _run_classify(args) -> dict:
@@ -95,6 +97,9 @@ def _hyperelliptic_bidegree(args) -> dict:
     d = linear_systems.hyperelliptic_bidegree(args.genus)
     return {"a": d.a, "b": d.b}
 
+
+# every integer flag of the systems subcommand
+_SYSTEMS_FLAGS = ("a", "b", "a2", "b2", "e", "nodes", "genus", "r")
 
 # flags every query on a surface needs, checked before the query is looked up
 _SURFACE_FLAGS = {"F_e": ("e",)}
@@ -131,12 +136,17 @@ def _run_systems(args) -> dict:
                 f"query {args.query!r} needs --{', --'.join(m.replace('_', '-') for m in missing)}")
 
     surface, query = args.surface, args.query
-    need(*_SURFACE_FLAGS.get(surface, ()))
+    surface_flags = _SURFACE_FLAGS.get(surface, ())
+    need(*surface_flags)
     try:
         flags, build = _SYSTEMS_QUERIES[surface, query]
     except KeyError:
         raise LiteralError(f"unknown {surface} query {query!r}") from None
     need(*flags)
+    unread = [n for n in _SYSTEMS_FLAGS
+              if n not in surface_flags + flags and getattr(args, n) is not None]
+    if unread:
+        raise LiteralError(f"query {query!r} does not read --{', --'.join(unread)}")
     return {"surface": surface, "query": query, "result": build(args)}
 
 
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a seeded nodal or split model")
     p.add_argument("--genus", type=integer_from_literal, required=True)
     p.add_argument("--kind", choices=["nodal", "split"], default="nodal")
-    p.add_argument("--nodes", type=integer_from_literal, default=0, help="node count (nodal kind)")
+    p.add_argument("--nodes", type=integer_from_literal, help="node count (nodal kind)")
     p.add_argument("--seed", type=integer_from_literal, default=0)
     p.set_defaults(handler=_run_construct)
 
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("systems", help="linear-system dimension/genus calculators")
     p.add_argument("--surface", choices=["P1xP1", "F_e", "DelPezzo1"], required=True)
     p.add_argument("--query", required=True)
-    for name in ("a", "b", "a2", "b2", "e", "nodes", "genus", "r"):
+    for name in _SYSTEMS_FLAGS:
         p.add_argument(f"--{name}", type=integer_from_literal)
     p.set_defaults(handler=_run_systems)
 

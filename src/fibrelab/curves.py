@@ -1,9 +1,9 @@
 """Genus-g hyperelliptic models y^2 = f(x) and their nodal degenerations.
 
-A model of genus ``g`` is a polynomial ``f`` of degree exactly ``2g + 2``
-(so the two points over ``x = infinity`` are smooth whenever the leading
-coefficient is nonzero).  The classification of a fibre follows the
-squarefree structure of ``f``:
+A model of genus ``g`` is a polynomial ``f`` of degree exactly ``2g + 2``,
+read as a binary form of that degree (:class:`HyperellipticModel`), so
+nothing is lost over ``x = infinity``.  The classification of a fibre
+follows the squarefree structure of ``f``:
 
 * squarefree                        -> smooth of genus g, e = 2 - 2g
 * only double roots + simple roots  -> irreducible with t nodes,
@@ -49,7 +49,13 @@ class FibreKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HyperellipticModel:
-    """``y^2 = f(x)`` with deg f = 2g + 2 exactly."""
+    """``y^2 = f(x)`` with deg f = 2g + 2 exactly, ``f`` read as a binary form.
+
+    ``f`` lists the coefficients of ``h(x0, x1) = sum c_k x0^(2g+2-k) x1^k``
+    and ``x = x1 / x0``.  ``deg f = 2g + 2`` means ``h(0, 1) = lc(f) != 0``:
+    the curve has two smooth points over ``x0 = 0``, so its singular points
+    are those of the affine chart.
+    """
 
     g: int
     f: UniPoly
@@ -96,39 +102,6 @@ class FibreClass:
             "geometric_genus": self.geometric_genus,
             "euler": self.euler_number,
         }
-
-
-@dataclass(frozen=True)
-class WeightedModel:
-    """Weighted-plane closure: y^2 = h(x0, x1), weight g + 1 on y.
-
-    ``h`` is the binary form of degree ``2g + 2`` whose coefficients are
-    those of ``f``: ``h(x0, x1) = sum_k c_k x0^(2g+2-k) x1^k``.
-    """
-
-    g: int
-    f: UniPoly
-
-    def h(self, x0, x1):
-        n = 2 * self.g + 2
-        return sum((c * x0 ** (n - k) * x1 ** k for k, c in enumerate(self.f.coefficients)),
-                   Fraction(0))
-
-    def dehomogenize(self) -> UniPoly:
-        """``h(1, x)``, recovering the affine right-hand side."""
-        return self.f
-
-    def value_at_infinity(self) -> Fraction:
-        """``h(0, 1)``: nonzero iff the two points over x0 = 0 are distinct.
-
-        In the chart x1 = 1 the curve is y^2 = h(x0, 1); at x0 = 0 the
-        y-partial of y^2 - h is 2y != 0 there, so nonzero value means two
-        smooth points at infinity.
-        """
-        return self.h(Fraction(0), Fraction(1))
-
-    def smooth_at_infinity(self) -> bool:
-        return bool(self.value_at_infinity())
 
 
 @dataclass(frozen=True)
@@ -276,11 +249,6 @@ def singular_points(model: HyperellipticModel):
     """
     return [SingularPoint(location, "node" if mult == 1 else "worse")
             for location, mult in galois_orbits(repeated_part(model.f))]
-
-
-def homogenize_weighted(model: HyperellipticModel) -> WeightedModel:
-    """Closure in P(1, 1, g+1): h(x0, x1) = x0^(2g+2) f(x1/x0)."""
-    return WeightedModel(model.g, model.f)
 
 
 def j_invariant(a, b) -> Fraction:

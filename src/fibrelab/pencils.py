@@ -225,11 +225,6 @@ def orbit_signature(f: UniPoly, m: UniPoly):
     return tuple(signature)
 
 
-def singular_fibres(pencil: Pencil) -> list:
-    """Singular-fibre records of :func:`total_space_euler`, one per Galois orbit."""
-    return list(total_space_euler(pencil).singular_fibres)
-
-
 def euler_summary(g: int, records: Sequence[SingularFibreRecord],
                   disc_degree: int) -> FibrationSummary:
     """Assemble the fibre-wise Euler accounting of a genus-g fibration over P^1."""

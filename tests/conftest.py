@@ -21,11 +21,6 @@ def to_sympy(p: UniPoly):
                for i, c in enumerate(p.coefficients))
 
 
-def from_sympy_rational(value) -> Fraction:
-    num, den = sympy.fraction(sympy.nsimplify(value))
-    return Fraction(int(num), int(den))
-
-
 def gaussian_det(rows) -> Fraction:
     """Scalar determinant by Gaussian elimination over Fraction.
 

@@ -173,11 +173,55 @@ def test_more_roots_than_the_seeded_stream_holds_exits_1():
      "query 'anticanonical-dim' needs --r"),
     (["--surface", "P1xP1", "--query", "severi", "--a", "2"],
      "query 'severi' needs --b, --nodes"),
+    # a missing flag is reported before one the query does not read
+    (["--surface", "P1xP1", "--query", "severi", "--a", "2", "--r", "1"],
+     "query 'severi' needs --b, --nodes"),
 ])
 def test_systems_query_errors(argv, message, capsys):
     from fibrelab.cli import main
     assert main(["systems", *argv]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--genus", "2", "--kind", "split", "--nodes", "2", "--seed", "1"],
+     "construct --kind split does not read --nodes"),
+    (["systems", "--surface", "DelPezzo1", "--query", "anticanonical-dim", "--r", "2", "--a", "7"],
+     "query 'anticanonical-dim' does not read --a"),
+    (["systems", "--surface", "P1xP1", "--query", "h0", "--a", "2", "--b", "3", "--e", "4"],
+     "query 'h0' does not read --e"),
+    (["systems", "--surface", "F_e", "--e", "1", "--query", "genus", "--a", "1", "--b", "2",
+      "--nodes", "0", "--r", "3"], "query 'genus' does not read --nodes, --r"),
+])
+def test_flags_the_subcommand_does_not_read_exit_2(argv, message, capsys):
+    from fibrelab.cli import main
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, schemas.ERROR)
+    assert payload == {"error": message}
+
+
+def test_nodal_construct_without_nodes_is_smooth(capsys):
+    from fibrelab.cli import main
+    outputs = []
+    for nodes in ([], ["--nodes", "0"]):
+        assert main(["construct", "--genus", "3", "--seed", "4", *nodes]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--genus", "1"], "construction requires g >= 2"),
+    (["pencil", "--genus", "2", "--f0", '["0","-144","324","-260","95","-16","1"]',
+      "--f1", '["-30","-349","607","-531","189","-32","2"]'],
+     "degenerate model: degree drop at parameter -1"),
+])
+def test_domain_errors_exit_1(argv, message):
+    proc = run_cli(argv)
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, schemas.ERROR)
+    assert payload == {"error": message}
 
 
 def test_printed_pencil_reads_back_through_the_parameter_file(tmp_path):
@@ -202,3 +246,12 @@ def test_readme_examples_match_the_goldens():
         (GOLDEN / "classify_smooth.json").read_bytes())
     assert _readme_json(readme, "quartic Galois orbit:\n\n```json") == json.loads(
         (GOLDEN / "pencil_demo.json").read_bytes())
+
+
+def test_readme_library_quickstart_runs():
+    readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library quickstart"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    assert "assert report.ok" in code
+    exec(compile(code, "README.md (Library quickstart)", "exec"), {})

@@ -13,7 +13,7 @@ from fibrelab.curves import (
     construct_nodal,
     construct_split,
 )
-from fibrelab.factorization import irreducible_factors
+from fibrelab.factorization import galois_orbits, irreducible_factors
 from fibrelab.geography import SurfaceInvariants, noether_complete
 from fibrelab.pencils import (
     EVERYWHERE_SINGULAR,
@@ -24,10 +24,9 @@ from fibrelab.pencils import (
     orbit_signature,
     pencil_discriminant,
     seeded_pencil,
-    singular_fibres,
     total_space_euler,
 )
-from fibrelab.polynomial import UniPoly, discriminant, unipoly_from_literal
+from fibrelab.polynomial import UniPoly, discriminant, repeated_part, unipoly_from_literal
 
 from conftest import fraction_gcd, fraction_squarefree_decomposition, number_field_signature
 
@@ -58,6 +57,10 @@ SQRT2 = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))  # mu^2 - 2
 
 
 class TestPencilValidation:
+    def test_genus_below_2_rejected(self):
+        with pytest.raises(ValueError, match="pencil genus must be >= 2"):
+            Pencil(1, UniPoly.from_roots([0, 1, 2, 3]), UniPoly.from_roots([4, 5, 6, 7]))
+
     def test_proportional_members_rejected(self):
         f = construct_nodal(2, 0, 1).f
         with pytest.raises(ValueError, match="non-constant"):
@@ -135,6 +138,14 @@ class TestPencilDiscriminant:
         with pytest.raises(ValueError, match=EVERYWHERE_SINGULAR):
             pencil_discriminant(Pencil(2, f0, f1))
 
+    def test_member_dropping_degree_at_a_rational_parameter_raises(self):
+        # lc(f_lam) = 1 + lam vanishes at lam = -1, a root of the discriminant
+        pencil = Pencil(2, unipoly_from_literal(["0", "-144", "324", "-260", "95", "-16", "1"]),
+                        unipoly_from_literal(["-30", "-349", "607", "-531", "189", "-32", "2"]))
+        assert pencil.fibre_at(-1).degree < 6
+        with pytest.raises(ValueError, match=r"^degenerate model: degree drop at parameter -1$"):
+            total_space_euler(pencil)
+
     def test_planted_root_at_zero(self):
         pencil = planted_pencil(2, 1, 0)
         disc = pencil_discriminant(pencil)
@@ -146,7 +157,7 @@ class TestPencilDiscriminant:
 
 class TestSingularFibres:
     def test_planted_nodal_record(self):
-        records = singular_fibres(planted_pencil(2, 1, 0))
+        records = total_space_euler(planted_pencil(2, 1, 0)).singular_fibres
         at_zero = [r for r in records if r.parameter == Fraction(0)]
         assert len(at_zero) == 1
         assert at_zero[0].nodes_per_fibre == 1
@@ -155,7 +166,7 @@ class TestSingularFibres:
     def test_split_member_recorded(self):
         smooth = construct_nodal(2, 0, 12).f
         split = construct_split(2, 13).f
-        records = singular_fibres(Pencil(2, smooth, split))
+        records = total_space_euler(Pencil(2, smooth, split)).singular_fibres
         at_one = [r for r in records if r.parameter == Fraction(1)]
         assert len(at_one) == 1
         assert at_one[0].fibre_class == FibreKind.SPLIT_NODAL
@@ -164,14 +175,14 @@ class TestSingularFibres:
     def test_rational_records_agree_with_classify(self):
         for lam_star, t in ((0, 1), (2, 2), (-1, 1)):
             pencil = planted_pencil(2, t, lam_star)
-            records = singular_fibres(pencil)
+            records = total_space_euler(pencil).singular_fibres
             rec = next(r for r in records if r.parameter == Fraction(lam_star))
             oracle = classify(HyperellipticModel(2, pencil.fibre_at(lam_star)))
             assert rec.fibre_class == oracle.kind
             assert rec.nodes_per_fibre == oracle.t
 
     def test_records_are_ordered_and_coprime(self):
-        records = singular_fibres(DEMO)
+        records = total_space_euler(DEMO).singular_fibres
         rationals = [r.parameter for r in records if isinstance(r.parameter, Fraction)]
         assert rationals == sorted(rationals)
         orbits = [r.parameter for r in records if not isinstance(r.parameter, Fraction)]
@@ -181,14 +192,14 @@ class TestSingularFibres:
                 assert fraction_gcd(m1, m2).degree == 0
 
     def test_demo_pencil_census(self):
-        records = singular_fibres(DEMO)
+        records = total_space_euler(DEMO).singular_fibres
         shapes = [(r.conjugate_count, r.nodes_per_fibre, r.fibre_class.value) for r in records]
         assert shapes == [(1, 1, "IrreducibleNodal"), (4, 1, "IrreducibleNodal")]
 
     def test_orbit_nodes_cross_checked_by_number_field_gcd(self):
         # the quartic orbit of the demo pencil, re-counted by sympy's gcd
         # over Q(alpha), alpha a root of the orbit's minimal polynomial
-        records = singular_fibres(DEMO)
+        records = total_space_euler(DEMO).singular_fibres
         orbit = next(r for r in records if not isinstance(r.parameter, Fraction))
         signature = number_field_signature(DEMO.member(), orbit.parameter)
         assert signature == orbit_signature(DEMO.member(), orbit.parameter)
@@ -238,11 +249,52 @@ class TestEulerFormula:
             assert summary.e_total == 4 - 4 * g == summary.bound
 
     def test_noether_formula_examples(self):
-        s6 = euler_summary(2, singular_fibres(seeded_pencil(2, 3)), 10)
+        s6 = euler_summary(2, total_space_euler(seeded_pencil(2, 3)).singular_fibres, 10)
         assert s6.e_total == 6
         assert noether_complete(SurfaceInvariants(K2=6, e=s6.e_total)).chi == 1
         with pytest.raises(ValueError, match="non-integral"):
             noether_complete(SurfaceInvariants(K2=7, e=s6.e_total))
+
+
+class TestDiscriminantMultiplicity:
+    """Without a base point (``gcd(f0, f1) = 1``) the branch curve
+    ``f_lam(x) = 0`` is smooth, so by Riemann-Hurwitz for its projection to
+    lam the order of ``Disc_x(f_lam)`` at a singular parameter is
+    ``d1 = deg gcd(f_lam, f_lam')``, orbit by orbit; a base point only raises
+    it.  Neither classifier route computes that order."""
+
+    @staticmethod
+    def orbits_and_records(pencil):
+        assert fraction_gcd(pencil.f0, pencil.f1).degree == 0
+        orbits = galois_orbits(pencil_discriminant(pencil))
+        records = total_space_euler(pencil).singular_fibres
+        assert [loc for loc, _ in orbits] == [r.parameter for r in records]
+        return [mult for _, mult in orbits], records
+
+    @pytest.mark.parametrize("pencil", [
+        seeded_pencil(2, 0), seeded_pencil(3, 1),
+        planted_pencil(2, 2, 2), planted_pencil(3, 3, -1), planted_pencil(3, 2, Fraction(1, 2)),
+        Pencil(2, construct_nodal(2, 0, 12).f, construct_split(2, 14).f),
+    ], ids=["seeded-2-0", "seeded-3-1", "planted-2-2", "planted-3-3", "planted-3-2", "split"])
+    def test_nodal_orbit_order_is_its_node_count(self, pencil):
+        mults, records = self.orbits_and_records(pencil)
+        assert all(r.fibre_class != FibreKind.NON_NODAL for r in records)
+        assert mults == [r.nodes_per_fibre for r in records]
+
+    def test_worse_than_node_order_is_d1(self):
+        f0 = UniPoly.from_roots([5]) ** 2 * UniPoly.from_roots([2]) ** 3 * UniPoly.from_roots([4])
+        pencil = Pencil(2, f0, construct_nodal(2, 0, 77).f)
+        mults, records = self.orbits_and_records(pencil)
+        assert (records[0].parameter, records[0].fibre_class) == (0, FibreKind.NON_NODAL)
+        d1 = repeated_part(pencil.fibre_at(0)).degree
+        assert mults[0] == d1 == 3 > records[0].nodes_per_fibre
+
+    def test_base_point_raises_the_order(self):
+        # the demo pencil's members all vanish at x = 1
+        assert fraction_gcd(DEMO.f0, DEMO.f1).degree == 1
+        (lam, mult), _orbit = galois_orbits(pencil_discriminant(DEMO))
+        assert (lam, mult) == (6, 2)
+        assert repeated_part(DEMO.fibre_at(lam)).degree == 1
 
 
 def test_record_parameter_serialises_as_its_str():
