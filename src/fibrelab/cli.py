@@ -9,10 +9,12 @@ byte-identical output.  Argparse picks the handler; :func:`main` writes its payl
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import curves, geography, linear_systems, pencils
+from .linear_systems import Bidegree, HirzebruchClass, SeveriSpec
 from .polynomial import LiteralError, integer_from_literal
 
 _SIGN_NOTE = ("note: singular-fibre contributions enter as e(F_s) - e(F), "
@@ -85,75 +87,62 @@ def _run_pencil(args) -> dict:
     return {"pencil": pencil.to_dict(), "summary": summary.to_dict()}
 
 
-def _bidegree(args) -> linear_systems.Bidegree:
-    return linear_systems.Bidegree(args.a, args.b)
-
-
-def _hirzebruch(args) -> linear_systems.HirzebruchClass:
-    return linear_systems.HirzebruchClass(args.e, args.a, args.b)
-
-
-def _hyperelliptic_bidegree(args) -> dict:
-    d = linear_systems.hyperelliptic_bidegree(args.genus)
-    return {"a": d.a, "b": d.b}
-
-
-# every integer flag of the systems subcommand
+# every integer flag of the systems subcommand, in the order an error names them
 _SYSTEMS_FLAGS = ("a", "b", "a2", "b2", "e", "nodes", "genus", "r")
 
-# flags every query on a surface needs, checked before the query is looked up
+# flags every query on a surface reads first, checked before the query is looked up
 _SURFACE_FLAGS = {"F_e": ("e",)}
 
-# (surface, query) -> (flags the query needs, builder of the result)
+# (surface, query) -> (the query's flags, function of the surface's flags then the query's)
 _SYSTEMS_QUERIES = {
-    ("P1xP1", "h0"): (("a", "b"), lambda args: linear_systems.h0_p1xp1(_bidegree(args))),
+    ("P1xP1", "h0"): (("a", "b"), lambda a, b: linear_systems.h0_p1xp1(Bidegree(a, b))),
     ("P1xP1", "genus"): (
-        ("a", "b"), lambda args: linear_systems.arithmetic_genus_p1xp1(_bidegree(args))),
+        ("a", "b"), lambda a, b: linear_systems.arithmetic_genus_p1xp1(Bidegree(a, b))),
     ("P1xP1", "severi"): (
-        ("a", "b", "nodes"), lambda args: linear_systems.severi_dimension(
-            linear_systems.SeveriSpec(_bidegree(args), args.nodes))),
-    ("P1xP1", "prescribed-nodes"): (
-        ("genus", "nodes"),
-        lambda args: linear_systems.prescribed_nodes_dimension(args.genus, args.nodes)),
-    ("P1xP1", "hyperelliptic-bidegree"): (("genus",), _hyperelliptic_bidegree),
+        ("a", "b", "nodes"),
+        lambda a, b, nodes: linear_systems.severi_dimension(SeveriSpec(Bidegree(a, b), nodes))),
+    ("P1xP1", "prescribed-nodes"): (("genus", "nodes"), linear_systems.prescribed_nodes_dimension),
+    ("P1xP1", "hyperelliptic-bidegree"): (
+        ("genus",), lambda genus: dataclasses.asdict(linear_systems.hyperelliptic_bidegree(genus))),
     ("F_e", "genus"): (
-        ("a", "b"), lambda args: linear_systems.hirzebruch_genus(_hirzebruch(args))),
+        ("a", "b"), lambda e, a, b: linear_systems.hirzebruch_genus(HirzebruchClass(e, a, b))),
     ("F_e", "intersect"): (
-        ("a", "b", "a2", "b2"), lambda args: linear_systems.hirzebruch_intersection(
-            _hirzebruch(args), linear_systems.HirzebruchClass(args.e, args.a2, args.b2))),
+        ("a", "b", "a2", "b2"), lambda e, a, b, a2, b2: linear_systems.hirzebruch_intersection(
+            HirzebruchClass(e, a, b), HirzebruchClass(e, a2, b2))),
     ("F_e", "effective"): (
-        ("a", "b"), lambda args: linear_systems.hirzebruch_effective(_hirzebruch(args))),
-    ("DelPezzo1", "anticanonical-dim"): (
-        ("r",), lambda args: linear_systems.delpezzo_anticanonical_dim(args.r)),
+        ("a", "b"), lambda e, a, b: linear_systems.hirzebruch_effective(HirzebruchClass(e, a, b))),
+    ("DelPezzo1", "anticanonical-dim"): (("r",), linear_systems.delpezzo_anticanonical_dim),
 }
 
 
 def _run_systems(args) -> dict:
-    def need(*names):
-        missing = [n for n in names if getattr(args, n) is None]
+    def read(names):
+        values = [getattr(args, n) for n in names]
+        missing = [n for n, v in zip(names, values) if v is None]
         if missing:
-            raise LiteralError(
-                f"query {args.query!r} needs --{', --'.join(m.replace('_', '-') for m in missing)}")
+            raise LiteralError(f"query {args.query!r} needs --{', --'.join(missing)}")
+        return values
 
     surface, query = args.surface, args.query
     surface_flags = _SURFACE_FLAGS.get(surface, ())
-    need(*surface_flags)
+    surface_values = read(surface_flags)
     try:
-        flags, build = _SYSTEMS_QUERIES[surface, query]
+        flags, function = _SYSTEMS_QUERIES[surface, query]
     except KeyError:
         raise LiteralError(f"unknown {surface} query {query!r}") from None
-    need(*flags)
+    values = read(flags)
     unread = [n for n in _SYSTEMS_FLAGS
               if n not in surface_flags + flags and getattr(args, n) is not None]
     if unread:
         raise LiteralError(f"query {query!r} does not read --{', --'.join(unread)}")
-    return {"surface": surface, "query": query, "result": build(args)}
+    return {"surface": surface, "query": query, "result": function(*surface_values, *values)}
 
 
 def _invariants_from_args(args) -> geography.SurfaceInvariants:
+    flag = vars(args).get  # a flag the operation does not declare reads as None
     return geography.SurfaceInvariants(
-        chi=args.chi, q=args.q, p_g=args.pg, K2=args.k2, e=args.e,
-        g1=args.g1, g2=args.g2, epsilon=args.epsilon, d=getattr(args, "d", None))
+        chi=flag("chi"), q=flag("q"), p_g=flag("pg"), K2=flag("k2"), e=flag("e"),
+        g1=flag("g1"), g2=flag("g2"), epsilon=flag("epsilon"), d=flag("d"))
 
 
 def _run_noether_complete(args) -> dict:
@@ -247,27 +236,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="surface-invariant identities and bounds")
     ops = p.add_subparsers(dest="operation", required=True)
 
-    def add_inv_flags(sp):
-        for name in ("chi", "q", "pg", "k2", "e", "g1", "g2", "epsilon"):
+    def add_inv_flags(sp, *names):
+        for name in names:
             sp.add_argument(f"--{name}", type=integer_from_literal)
 
+    # the invariant flags each operation reads
+    numbers = ("chi", "q", "pg", "k2", "e")
+    fibration = (*numbers, "g1", "g2")
+    every = (*fibration, "epsilon")
+
     sp = ops.add_parser("noether-complete")
-    add_inv_flags(sp)
-    sp.add_argument("--d", type=integer_from_literal)
+    add_inv_flags(sp, *every, "d")
     sp.set_defaults(handler=_run_noether_complete)
     sp = ops.add_parser("blow-up")
-    add_inv_flags(sp)
+    add_inv_flags(sp, *every)
     sp.add_argument("--n", type=integer_from_literal, default=1)
     sp.set_defaults(handler=_run_blow_up)
     sp = ops.add_parser("chi-bounds")
-    add_inv_flags(sp)
+    add_inv_flags(sp, *fibration)
     sp.set_defaults(handler=_run_chi_bounds)
     sp = ops.add_parser("xiao-validate")
-    add_inv_flags(sp)
+    add_inv_flags(sp, *every)
     sp.add_argument("--case", choices=["i", "ii"], default="ii")
     sp.set_defaults(handler=_run_xiao_validate)
     sp = ops.add_parser("general-type")
-    add_inv_flags(sp)
+    add_inv_flags(sp, *numbers)
     sp.add_argument("--minimal", action="store_true")
     sp.set_defaults(handler=_run_general_type)
     sp = ops.add_parser("elliptic-c2")

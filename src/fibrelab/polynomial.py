@@ -300,22 +300,14 @@ def _int_gcd(a, b):
     return _primitive(a)
 
 
-def _int_exact_quotient(a, b):
-    """``a / b`` in ``Z[x]``; raises ArithmeticError unless ``b`` divides ``a`` there."""
-    n = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    quot = [0] * max(len(r) - n, 0)
-    for k in range(len(r) - 1, n - 1, -1):
-        c, rem = divmod(r[k], lead)
-        if rem:
+def _int_exact_divide(a, d: int):
+    """``a / d`` in ``Z[x]`` for a nonzero integer ``d``; raises ArithmeticError unless exact."""
+    quot = []
+    for c in a:
+        q, r = divmod(c, d)
+        if r:
             raise ArithmeticError("inexact division in Z[x]")
-        if c:
-            quot[k - n] = c
-            for i in range(n):
-                r[k - n + i] -= c * b[i]
-    if any(r[:n]):
-        raise ArithmeticError("inexact division in Z[x]")
+        quot.append(q)
     return quot
 
 
@@ -398,11 +390,11 @@ def _int_subresultants(a, b) -> dict:
         chain[d - 1] = c = b
         delta = d - e
         if delta > 1:
-            c = chain[e] = _int_exact_quotient([b[-1] ** (delta - 1) * x for x in b],
-                                               [s ** (delta - 1)])
+            c = chain[e] = _int_exact_divide([b[-1] ** (delta - 1) * x for x in b],
+                                             s ** (delta - 1))
         if not e:
             break
-        b = _int_exact_quotient(_int_prem(a, [-x for x in b]), [s ** delta * a[-1]])
+        b = _int_exact_divide(_int_prem(a, [-x for x in b]), s ** delta * a[-1])
         a, s = c, c[-1]
     return chain
 

@@ -2,170 +2,73 @@
 
 The golden-file test suite validates each documented CLI example against
 these; downstream consumers can import them to do the same.
+
+Every object is closed: it holds exactly the keys its schema lists, and each
+of them is required.  The one exception is a fibre record, which carries
+exactly one of ``param`` and ``minpoly``.
 """
 
 from .polynomial import RATIONAL_PATTERN
 
-_COEFF = {"type": "string", "pattern": f"^{RATIONAL_PATTERN}$"}
-_POLY = {"type": "array", "items": _COEFF}
+_INT = {"type": "integer"}
+_NAT = {"type": "integer", "minimum": 0}
+_STR = {"type": "string"}
 _INT_OR_NULL = {"type": ["integer", "null"]}
+_POLY = {"type": "array", "items": {"type": "string", "pattern": f"^{RATIONAL_PATTERN}$"}}
 
-MODEL = {
-    "type": "object",
-    "properties": {"genus": {"type": "integer", "minimum": 1}, "f": _POLY},
-    "required": ["genus", "f"],
-    "additionalProperties": False,
-}
 
-FIBRE_CLASS = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["Smooth", "IrreducibleNodal", "SplitNodal", "NonNodal"]},
-        "t": {"type": "integer", "minimum": 0},
-        "intersections": _INT_OR_NULL,
-        "geometric_genus": _INT_OR_NULL,
-        "euler": _INT_OR_NULL,
-    },
-    "required": ["kind", "t", "intersections", "geometric_genus", "euler"],
-    "additionalProperties": False,
-}
+def _closed(properties: dict) -> dict:
+    """An object with exactly the keys of ``properties``, every one required."""
+    return {"type": "object", "properties": properties, "required": list(properties),
+            "additionalProperties": False}
 
+
+MODEL = _closed({"genus": {"type": "integer", "minimum": 1}, "f": _POLY})
+
+FIBRE_CLASS = _closed({
+    "kind": {"enum": ["Smooth", "IrreducibleNodal", "SplitNodal", "NonNodal"]}, "t": _NAT,
+    "intersections": _INT_OR_NULL, "geometric_genus": _INT_OR_NULL, "euler": _INT_OR_NULL})
+
+# A fibre sits at one rational parameter or at the roots of one minimal
+# polynomial, so a record names exactly one of the two: ``required`` leaves
+# both out and ``oneOf`` asks for one.
 _FIBRE_RECORD = {
-    "type": "object",
-    "properties": {
-        "param": {"type": "string"},
-        "minpoly": _POLY,
-        "conjugates": {"type": "integer", "minimum": 1},
-        "nodes": {"type": "integer", "minimum": 0},
-        "class": {"enum": ["IrreducibleNodal", "SplitNodal", "NonNodal", "Smooth"]},
-    },
+    **_closed({"param": _STR, "minpoly": _POLY, "conjugates": {"type": "integer", "minimum": 1},
+               "nodes": _NAT,
+               "class": {"enum": ["IrreducibleNodal", "SplitNodal", "NonNodal", "Smooth"]}}),
     "required": ["conjugates", "nodes", "class"],
     "oneOf": [{"required": ["param"]}, {"required": ["minpoly"]}],
-    "additionalProperties": False,
 }
 
-PENCIL_RUN = {
-    "type": "object",
-    "properties": {
-        "pencil": {
-            "type": "object",
-            "properties": {"g": {"type": "integer"}, "f0": _POLY, "f1": _POLY},
-            "required": ["g", "f0", "f1"],
-            "additionalProperties": False,
-        },
-        "summary": {
-            "type": "object",
-            "properties": {
-                "e_total": {"type": "integer"},
-                "bound": {"type": "integer"},
-                "strict": {"type": "boolean"},
-                "fibres": {"type": "array", "items": _FIBRE_RECORD},
-            },
-            "required": ["e_total", "bound", "strict", "fibres"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["pencil", "summary"],
-    "additionalProperties": False,
-}
+PENCIL_RUN = _closed({
+    "pencil": _closed({"g": _INT, "f0": _POLY, "f1": _POLY}),
+    "summary": _closed({"e_total": _INT, "bound": _INT, "strict": {"type": "boolean"},
+                        "fibres": {"type": "array", "items": _FIBRE_RECORD}}),
+})
 
-SYSTEMS = {
-    "type": "object",
-    "properties": {
-        "surface": {"enum": ["P1xP1", "F_e", "DelPezzo1"]},
-        "query": {"type": "string"},
-        "result": {},
-    },
-    "required": ["surface", "query", "result"],
-    "additionalProperties": False,
-}
+SYSTEMS = _closed({"surface": {"enum": ["P1xP1", "F_e", "DelPezzo1"]}, "query": _STR,
+                   "result": {}})
 
-INVARIANTS = {
-    "type": "object",
-    "properties": {name: _INT_OR_NULL for name in
-                   ("chi", "q", "p_g", "K2", "e", "g1", "g2", "epsilon", "d")},
-    "required": ["chi", "q", "p_g", "K2", "e", "g1", "g2", "epsilon", "d"],
-    "additionalProperties": False,
-}
+INVARIANTS = _closed(dict.fromkeys(
+    ("chi", "q", "p_g", "K2", "e", "g1", "g2", "epsilon", "d"), _INT_OR_NULL))
 
-REPORT = {
-    "type": "object",
-    "properties": {
-        "ok": {"type": "boolean"},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "name": {"type": "string"},
-                    "status": {"enum": ["pass", "fail", "inapplicable"]},
-                    "lhs": {},
-                    "rhs": {},
-                    "citation": {"type": "string"},
-                    "note": {"type": "string"},
-                },
-                "required": ["name", "status", "lhs", "rhs", "citation", "note"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["ok", "checks"],
-    "additionalProperties": False,
-}
+REPORT = _closed({
+    "ok": {"type": "boolean"},
+    "checks": {"type": "array", "items": _closed({
+        "name": _STR, "status": {"enum": ["pass", "fail", "inapplicable"]},
+        "lhs": {}, "rhs": {}, "citation": _STR, "note": _STR})},
+})
 
-SCAN_ROW = {
-    "type": "object",
-    "properties": {
-        "chi": {"type": "integer"},
-        "epsilon": {"type": "integer", "minimum": 0},
-        "q": {"type": "integer", "minimum": 0},
-        "p_g": {"type": "integer", "minimum": 0},
-        "k2_min": {"type": "integer"},
-        "k2_max": {"type": "integer"},
-        "flags": {"type": "array", "items": {"type": "string"}},
-    },
-    "required": ["chi", "epsilon", "q", "p_g", "k2_min", "k2_max", "flags"],
-    "additionalProperties": False,
-}
+SCAN_ROW = _closed({"chi": _INT, "epsilon": _NAT, "q": _NAT, "p_g": _NAT,
+                    "k2_min": _INT, "k2_max": _INT, "flags": {"type": "array", "items": _STR}})
 
-SCAN = {
-    "type": "object",
-    "properties": {
-        "g2": {"type": "integer", "minimum": 0},
-        "chi_max": {"type": "integer"},
-        "rows": {"type": "array", "items": SCAN_ROW},
-    },
-    "required": ["g2", "chi_max", "rows"],
-    "additionalProperties": False,
-}
+SCAN = _closed({"g2": _NAT, "chi_max": _INT, "rows": {"type": "array", "items": SCAN_ROW}})
 
-ELLIPTIC = {
-    "type": "object",
-    "properties": {"c2": {"type": "integer"}, "chi": {"type": "integer"}},
-    "required": ["c2", "chi"],
-    "additionalProperties": False,
-}
+ELLIPTIC = _closed({"c2": _INT, "chi": _INT})
 
-SLOPE = {
-    "type": "object",
-    "properties": {
-        "slope": {"type": ["string", "integer"]},
-        "verdict": {"enum": ["product-like", "admissible", "inadmissible"]},
-    },
-    "required": ["slope", "verdict"],
-    "additionalProperties": False,
-}
+SLOPE = _closed({"slope": {"type": ["string", "integer"]},
+                 "verdict": {"enum": ["product-like", "admissible", "inadmissible"]}})
 
-HURWITZ = {
-    "type": "object",
-    "properties": {"bound": {"type": "integer"}},
-    "required": ["bound"],
-    "additionalProperties": False,
-}
+HURWITZ = _closed({"bound": _INT})
 
-ERROR = {
-    "type": "object",
-    "properties": {"error": {"type": "string"}},
-    "required": ["error"],
-    "additionalProperties": False,
-}
+ERROR = _closed({"error": _STR})

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import itertools
 import json
 import pathlib
 import subprocess
@@ -6,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+from fibrelab import linear_systems as ls
 from fibrelab import schemas
 from cli_examples import DEMO_F0, DEMO_F1, ERROR_EXAMPLES, EXAMPLES
 
@@ -36,6 +40,56 @@ def test_documented_example_matches_golden_and_schema(name, argv, schema_name, f
         lines = proc.stdout.decode().splitlines()
         assert lines[0] == "chi,epsilon,k2_min,k2_max,flags"
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+def _object_paths(payload, path=()):
+    """The path to every JSON object in ``payload``; a ``systems`` result is free-form."""
+    if isinstance(payload, dict):
+        yield path
+        for key, value in payload.items():
+            if key != "result":
+                yield from _object_paths(value, (*path, key))
+    elif isinstance(payload, list):
+        for i, item in enumerate(payload):
+            yield from _object_paths(item, (*path, i))
+
+
+def _at(payload, path):
+    for step in path:
+        payload = payload[step]
+    return payload
+
+
+_SCHEMA_GOLDENS = [(name, schema_name) for name, _, schema_name, fmt in EXAMPLES
+                   if fmt == "json"]
+
+
+@pytest.mark.parametrize("name,schema_name", _SCHEMA_GOLDENS, ids=[n for n, _ in _SCHEMA_GOLDENS])
+def test_published_schemas_are_closed(name, schema_name):
+    payload = json.loads((GOLDEN / f"{name}.json").read_bytes())
+    validator = jsonschema.Draft202012Validator(getattr(schemas, schema_name))
+    assert validator.is_valid(payload)
+    for path in _object_paths(payload):
+        edited = copy.deepcopy(payload)
+        _at(edited, path)["unknown"] = 0
+        assert not validator.is_valid(edited), path
+        for key in _at(payload, path):
+            edited = copy.deepcopy(payload)
+            del _at(edited, path)[key]
+            assert not validator.is_valid(edited), (path, key)
+
+
+def test_a_fibre_record_names_exactly_one_of_param_and_minpoly():
+    payload = json.loads((GOLDEN / "pencil_demo.json").read_bytes())
+    validator = jsonschema.Draft202012Validator(schemas.PENCIL_RUN)
+    rational, orbit = payload["summary"]["fibres"]
+    assert "param" in rational and "minpoly" in orbit
+    for record in ({**rational, "minpoly": orbit["minpoly"]},  # both
+                   {**orbit, "param": rational["param"]},      # both
+                   {k: v for k, v in rational.items() if k != "param"}):  # neither
+        edited = copy.deepcopy(payload)
+        edited["summary"]["fibres"][0] = record
+        assert not validator.is_valid(edited), record
 
 
 @pytest.mark.parametrize("name,argv,expected_code", ERROR_EXAMPLES,
@@ -183,6 +237,75 @@ def test_systems_query_errors(argv, message, capsys):
     assert json.loads(capsys.readouterr().out) == {"error": message}
 
 
+# (surface, query) -> the library call, taking the query's flags by name
+_SYSTEMS_CALLS = {
+    ("P1xP1", "h0"): lambda a, b: ls.h0_p1xp1(ls.Bidegree(a, b)),
+    ("P1xP1", "genus"): lambda a, b: ls.arithmetic_genus_p1xp1(ls.Bidegree(a, b)),
+    ("P1xP1", "severi"): lambda a, b, nodes: ls.severi_dimension(
+        ls.SeveriSpec(ls.Bidegree(a, b), nodes)),
+    ("P1xP1", "prescribed-nodes"): lambda genus, nodes: ls.prescribed_nodes_dimension(
+        genus, nodes),
+    ("P1xP1", "hyperelliptic-bidegree"): lambda genus: dataclasses.asdict(
+        ls.hyperelliptic_bidegree(genus)),
+    ("F_e", "genus"): lambda e, a, b: ls.hirzebruch_genus(ls.HirzebruchClass(e, a, b)),
+    ("F_e", "intersect"): lambda e, a, b, a2, b2: ls.hirzebruch_intersection(
+        ls.HirzebruchClass(e, a, b), ls.HirzebruchClass(e, a2, b2)),
+    ("F_e", "effective"): lambda e, a, b: ls.hirzebruch_effective(ls.HirzebruchClass(e, a, b)),
+    ("DelPezzo1", "anticanonical-dim"): lambda r: ls.delpezzo_anticanonical_dim(r),
+}
+
+# flag values per query; together they tell every swap of two flags apart
+# (checked below), so a flag read in another's place changes the result
+_SYSTEMS_VALUES = [
+    ("P1xP1", "h0", {"a": 2, "b": 5}),
+    ("P1xP1", "genus", {"a": 2, "b": 5}),
+    ("P1xP1", "severi", {"a": 3, "b": 4, "nodes": 2}),
+    ("P1xP1", "prescribed-nodes", {"genus": 4, "nodes": 3}),
+    ("P1xP1", "hyperelliptic-bidegree", {"genus": 4}),
+    ("F_e", "genus", {"e": 1, "a": 2, "b": 5}),
+    ("F_e", "intersect", {"e": 2, "a": 1, "b": 5, "a2": 3, "b2": 7}),  # a - b + e a != 0
+    # a boolean answer: no one triple tells all three swaps apart
+    ("F_e", "effective", {"e": 0, "a": 3, "b": 2}),
+    ("F_e", "effective", {"e": 1, "a": 2, "b": 1}),
+    ("DelPezzo1", "anticanonical-dim", {"r": 3}),
+]
+
+
+def test_systems_values_cover_every_query():
+    from fibrelab.cli import _SYSTEMS_QUERIES
+    assert {(s, q) for s, q, _ in _SYSTEMS_VALUES} == set(_SYSTEMS_CALLS) == set(_SYSTEMS_QUERIES)
+
+
+@pytest.mark.parametrize("surface,query,values", _SYSTEMS_VALUES,
+                         ids=[f"{s}-{q}-{i}" for i, (s, q, _) in enumerate(_SYSTEMS_VALUES)])
+def test_systems_result_equals_the_library_call(surface, query, values, capsys):
+    from fibrelab.cli import main
+    argv = ["systems", "--surface", surface, "--query", query]
+    for name, value in values.items():
+        argv += [f"--{name}", str(value)]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"surface": surface, "query": query,
+                       "result": _SYSTEMS_CALLS[surface, query](**values)}
+
+
+@pytest.mark.parametrize("surface,query", sorted(_SYSTEMS_CALLS))
+def test_systems_values_tell_every_swap_of_two_flags_apart(surface, query):
+    call = _SYSTEMS_CALLS[surface, query]
+    cases = [v for s, q, v in _SYSTEMS_VALUES if (s, q) == (surface, query)]
+
+    def answer(values):
+        try:
+            return call(**values)
+        except ValueError as exc:
+            return str(exc)
+
+    for x, y in itertools.combinations(cases[0], 2):
+        if surface == "P1xP1" and {x, y} == {"a", "b"}:
+            continue  # the two rulings of the quadric play the same role
+        assert any(answer({**v, x: v[y], y: v[x]}) != answer(v) for v in cases), (x, y)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["construct", "--genus", "2", "--kind", "split", "--nodes", "2", "--seed", "1"],
      "construct --kind split does not read --nodes"),
@@ -199,6 +322,23 @@ def test_flags_the_subcommand_does_not_read_exit_2(argv, message, capsys):
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, schemas.ERROR)
     assert payload == {"error": message}
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["chi-bounds", "--chi", "1", "--q", "0", "--pg", "0", "--g1", "2", "--g2", "0"],
+     ["--epsilon", "7"]),
+    (["general-type", "--k2", "2", "--pg", "3", "--e", "10", "--minimal"], ["--g1", "9"]),
+    (["general-type", "--k2", "2", "--pg", "3", "--e", "10", "--minimal"], ["--g2", "4"]),
+    (["general-type", "--k2", "2", "--pg", "3", "--e", "10", "--minimal"], ["--epsilon", "3"]),
+], ids=["chi-bounds-epsilon", "general-type-g1", "general-type-g2", "general-type-epsilon"])
+def test_invariant_flags_the_operation_does_not_read_exit_2(argv, unread, capsys):
+    from fibrelab.cli import main
+    assert main(["invariants", *argv]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", *argv, *unread])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
 
 
 def test_nodal_construct_without_nodes_is_smooth(capsys):

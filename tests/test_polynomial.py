@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fibrelab.polynomial import (
     LiteralError,
     UniPoly,
-    _int_exact_quotient,
+    _int_exact_divide,
     discriminant,
     repeated_part,
     resultant,
@@ -135,19 +135,20 @@ class TestIntegerYun:
             repeated_part(UniPoly.zero())
 
     def test_exact_quotient(self):
-        # (2x + 1)(3x^2 - 1) / (2x + 1)
-        assert _int_exact_quotient([-1, -2, 3, 6], [1, 2]) == [-1, 0, 3]
-        assert _int_exact_quotient([], [1, 2]) == []
+        # 6(x^2 - 2x + 3) / 6, and by a negative divisor
+        assert _int_exact_divide([18, -12, 6], 6) == [3, -2, 1]
+        assert _int_exact_divide([18, -12, 6], -3) == [-6, 4, -2]
+        assert _int_exact_divide([], 5) == []
 
-    @pytest.mark.parametrize("a, b", [
-        ([1, 0, 1], [1, 1]),  # x^2 + 1 by x + 1: remainder 2
-        ([1, 2], [0, 3]),     # 2x + 1 by 3x: 2/3 is no integer
-        ([0, 3], [0, 2]),     # 3x by 2x: exact over Q, not in Z[x]
-        ([1], [1, 1]),        # a nonzero constant by x + 1
+    @pytest.mark.parametrize("a, d", [
+        ([2, 4, 5], 2),   # the leading coefficient leaves a remainder
+        ([3, 6, 9], 2),   # every coefficient does
+        ([1, 0, 4], 4),   # only the constant one does
+        ([0, 3], -2),     # a negative divisor: 3/(-2) is no integer
     ])
-    def test_inexact_quotient_raises(self, a, b):
+    def test_inexact_quotient_raises(self, a, d):
         with pytest.raises(ArithmeticError, match="inexact"):
-            _int_exact_quotient(a, b)
+            _int_exact_divide(a, d)
 
 
 class TestFromRoots:
