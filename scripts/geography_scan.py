@@ -5,7 +5,9 @@ Streams the (chi, epsilon, K2-window) rows as CSV on stdout; with
 ``--validate`` every integer K2 in every window is pushed back through the
 full inequality validator; a failure would indicate an internal
 inconsistency, and the script then exits with status 1.  ``--plot``
-sketches the admissible K2 region per chi on stderr.
+sketches the admissible K2 region per chi on stderr.  Integer flags follow
+the fibrelab integer grammar; a domain error, such as a negative base genus,
+is one line on stderr and exit status 1.
 
     python scripts/geography_scan.py --g2 0 --chi-max 8 --validate --plot
 """
@@ -14,6 +16,7 @@ import argparse
 import sys
 from collections import defaultdict
 
+from fibrelab.cli import integer_argument
 from fibrelab.geography import (
     CSV_HEADER,
     SurfaceInvariants,
@@ -25,16 +28,20 @@ from fibrelab.geography import (
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--g2", type=int, default=0)
-    parser.add_argument("--chi-max", type=int, default=8)
+    parser.add_argument("--g2", type=integer_argument, default=0)
+    parser.add_argument("--chi-max", type=integer_argument, default=8)
     parser.add_argument("--validate", action="store_true")
     parser.add_argument("--plot", action="store_true")
     args = parser.parse_args()
+    try:  # the arguments are checked at the call, before any output
+        rows = xiao_admissible_scan(args.g2, args.chi_max)
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
 
     windows = defaultdict(list)
     checked = failures = 0
     print(CSV_HEADER)
-    for row in xiao_admissible_scan(args.g2, args.chi_max):
+    for row in rows:
         print(row.csv_row())
         windows[row.chi].append((row.k2_min, row.k2_max))
         if args.validate:

@@ -8,28 +8,34 @@ locate its singular fibres exactly, and tabulate the Euler accounting:
 
 The base is P^1, so every row re-checks e_total = e(A) e(D) + sum of node
 contributions and the lower bound 4 - 4g = e(A) e(P^1); a failing row names
-its seed and exits with status 1, also under python -O.
+its seed and exits with status 1, also under python -O.  Integer flags follow
+the fibrelab integer grammar; a domain error, such as a genus below 2, is one
+line on stderr and exit status 1.
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
+from fibrelab.cli import integer_argument
 from fibrelab.pencils import seeded_pencil, total_space_euler
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--genus", type=int, default=2)
-    parser.add_argument("--count", type=int, default=10)
-    parser.add_argument("--seed-base", type=int, default=0)
+    parser.add_argument("--genus", type=integer_argument, default=2)
+    parser.add_argument("--count", type=integer_argument, default=10)
+    parser.add_argument("--seed-base", type=integer_argument, default=0)
     args = parser.parse_args()
+    try:  # every pencil is built, and its arguments checked, before any output
+        pencils = [seeded_pencil(args.genus, args.seed_base + i) for i in range(args.count)]
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
 
     print(f"{'seed':>4} {'deg disc':>8} {'fibres':>6} {'orbits':>6} "
           f"{'sum nodes':>9} {'e_total':>7} {'bound':>6} strict")
-    for i in range(args.count):
-        seed = args.seed_base + i
-        summary = total_space_euler(seeded_pencil(args.genus, seed))
+    for seed, pencil in enumerate(pencils, args.seed_base):
+        summary = total_space_euler(pencil)
         records = summary.singular_fibres
         orbit_count = sum(1 for r in records if not isinstance(r.parameter, Fraction))
         contributions = sum(r.conjugate_count * r.nodes_per_fibre for r in records)

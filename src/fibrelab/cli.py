@@ -26,6 +26,14 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+def integer_argument(text: str) -> int:
+    """The argparse type of every integer flag: the integer grammar, refused in its own words."""
+    try:
+        return integer_from_literal(text)
+    except LiteralError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _load_params_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -37,13 +45,27 @@ def _load_params_file(path: str) -> dict:
     return obj
 
 
+def _refuse_unread(reader: str, unread: list) -> None:
+    """Exit 2 naming each flag or key in ``unread``, given to ``reader`` but not read by it."""
+    if unread:
+        raise LiteralError(f"{reader} does not read {', '.join(unread)}")
+
+
+def _given(args, names) -> list:
+    """``--name`` for each of ``names`` whose flag was given."""
+    return [f"--{n}" for n in names if getattr(args, n) is not None]
+
+
 def _read_parameters(args, from_dict, genus_key: str, *json_flags: str):
     """``from_dict`` of the ``--file`` object, or of the same keys built from the flags.
 
     ``--genus`` is passed as given, to the integer reader; the other flags hold JSON text.
     """
     if args.file:
+        _refuse_unread(f"{args.command} --file", _given(args, ("genus", *json_flags)))
         params = _load_params_file(args.file)
+        _refuse_unread(f"{args.command} --file",
+                       [f"key {k!r}" for k in params if k not in (genus_key, *json_flags)])
     else:
         params = {} if args.genus is None else {genus_key: args.genus}
         for name in json_flags:
@@ -66,8 +88,7 @@ def _read_parameters(args, from_dict, genus_key: str, *json_flags: str):
 
 def _run_construct(args) -> dict:
     if args.kind == "split":
-        if args.nodes is not None:
-            raise LiteralError("construct --kind split does not read --nodes")
+        _refuse_unread("construct --kind split", _given(args, ["nodes"]))
         return curves.construct_split(args.genus, args.seed).to_dict()
     return curves.construct_nodal(args.genus, args.nodes or 0, args.seed).to_dict()
 
@@ -87,13 +108,7 @@ def _run_pencil(args) -> dict:
     return {"pencil": pencil.to_dict(), "summary": summary.to_dict()}
 
 
-# every integer flag of the systems subcommand, in the order an error names them
-_SYSTEMS_FLAGS = ("a", "b", "a2", "b2", "e", "nodes", "genus", "r")
-
-# flags every query on a surface reads first, checked before the query is looked up
-_SURFACE_FLAGS = {"F_e": ("e",)}
-
-# (surface, query) -> (the query's flags, function of the surface's flags then the query's)
+# (surface, query) -> (the flags the query reads, function of their values in that order)
 _SYSTEMS_QUERIES = {
     ("P1xP1", "h0"): (("a", "b"), lambda a, b: linear_systems.h0_p1xp1(Bidegree(a, b))),
     ("P1xP1", "genus"): (
@@ -105,37 +120,33 @@ _SYSTEMS_QUERIES = {
     ("P1xP1", "hyperelliptic-bidegree"): (
         ("genus",), lambda genus: dataclasses.asdict(linear_systems.hyperelliptic_bidegree(genus))),
     ("F_e", "genus"): (
-        ("a", "b"), lambda e, a, b: linear_systems.hirzebruch_genus(HirzebruchClass(e, a, b))),
+        ("e", "a", "b"), lambda e, a, b: linear_systems.hirzebruch_genus(HirzebruchClass(e, a, b))),
     ("F_e", "intersect"): (
-        ("a", "b", "a2", "b2"), lambda e, a, b, a2, b2: linear_systems.hirzebruch_intersection(
+        ("e", "a", "b", "a2", "b2"), lambda e, a, b, a2, b2: linear_systems.hirzebruch_intersection(
             HirzebruchClass(e, a, b), HirzebruchClass(e, a2, b2))),
     ("F_e", "effective"): (
-        ("a", "b"), lambda e, a, b: linear_systems.hirzebruch_effective(HirzebruchClass(e, a, b))),
+        ("e", "a", "b"),
+        lambda e, a, b: linear_systems.hirzebruch_effective(HirzebruchClass(e, a, b))),
     ("DelPezzo1", "anticanonical-dim"): (("r",), linear_systems.delpezzo_anticanonical_dim),
 }
 
+# the surfaces, and every flag of the systems subcommand, in order of first use in the table
+SYSTEMS_SURFACES = tuple(dict.fromkeys(surface for surface, _ in _SYSTEMS_QUERIES))
+_SYSTEMS_FLAGS = tuple(dict.fromkeys(n for flags, _ in _SYSTEMS_QUERIES.values() for n in flags))
+
 
 def _run_systems(args) -> dict:
-    def read(names):
-        values = [getattr(args, n) for n in names]
-        missing = [n for n, v in zip(names, values) if v is None]
-        if missing:
-            raise LiteralError(f"query {args.query!r} needs --{', --'.join(missing)}")
-        return values
-
     surface, query = args.surface, args.query
-    surface_flags = _SURFACE_FLAGS.get(surface, ())
-    surface_values = read(surface_flags)
     try:
         flags, function = _SYSTEMS_QUERIES[surface, query]
     except KeyError:
         raise LiteralError(f"unknown {surface} query {query!r}") from None
-    values = read(flags)
-    unread = [n for n in _SYSTEMS_FLAGS
-              if n not in surface_flags + flags and getattr(args, n) is not None]
-    if unread:
-        raise LiteralError(f"query {query!r} does not read --{', --'.join(unread)}")
-    return {"surface": surface, "query": query, "result": function(*surface_values, *values)}
+    values = [getattr(args, n) for n in flags]
+    missing = [f"--{n}" for n, v in zip(flags, values) if v is None]
+    if missing:
+        raise LiteralError(f"query {query!r} needs {', '.join(missing)}")
+    _refuse_unread(f"query {query!r}", _given(args, [n for n in _SYSTEMS_FLAGS if n not in flags]))
+    return {"surface": surface, "query": query, "result": function(*values)}
 
 
 def _invariants_from_args(args) -> geography.SurfaceInvariants:
@@ -207,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a seeded nodal or split model")
-    p.add_argument("--genus", type=integer_from_literal, required=True)
+    p.add_argument("--genus", type=integer_argument, required=True)
     p.add_argument("--kind", choices=["nodal", "split"], default="nodal")
-    p.add_argument("--nodes", type=integer_from_literal, help="node count (nodal kind)")
-    p.add_argument("--seed", type=integer_from_literal, default=0)
+    p.add_argument("--nodes", type=integer_argument, help="node count (nodal kind)")
+    p.add_argument("--seed", type=integer_argument, default=0)
     p.set_defaults(handler=_run_construct)
 
     p = sub.add_parser("classify", help="classify a model y^2 = f(x)")
@@ -227,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_pencil)
 
     p = sub.add_parser("systems", help="linear-system dimension/genus calculators")
-    p.add_argument("--surface", choices=["P1xP1", "F_e", "DelPezzo1"], required=True)
+    p.add_argument("--surface", choices=SYSTEMS_SURFACES, required=True)
     p.add_argument("--query", required=True)
     for name in _SYSTEMS_FLAGS:
-        p.add_argument(f"--{name}", type=integer_from_literal)
+        p.add_argument(f"--{name}", type=integer_argument)
     p.set_defaults(handler=_run_systems)
 
     p = sub.add_parser("invariants", help="surface-invariant identities and bounds")
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_inv_flags(sp, *names):
         for name in names:
-            sp.add_argument(f"--{name}", type=integer_from_literal)
+            sp.add_argument(f"--{name}", type=integer_argument)
 
     # the invariant flags each operation reads
     numbers = ("chi", "q", "pg", "k2", "e")
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_run_noether_complete)
     sp = ops.add_parser("blow-up")
     add_inv_flags(sp, *every)
-    sp.add_argument("--n", type=integer_from_literal, default=1)
+    sp.add_argument("--n", type=integer_argument, default=1)
     sp.set_defaults(handler=_run_blow_up)
     sp = ops.add_parser("chi-bounds")
     add_inv_flags(sp, *fibration)
@@ -264,19 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--minimal", action="store_true")
     sp.set_defaults(handler=_run_general_type)
     sp = ops.add_parser("elliptic-c2")
-    sp.add_argument("--d", type=integer_from_literal, required=True)
+    sp.add_argument("--d", type=integer_argument, required=True)
     sp.set_defaults(handler=_run_elliptic_c2)
     sp = ops.add_parser("slope")
-    sp.add_argument("--k2", type=integer_from_literal, required=True)
-    sp.add_argument("--c2", type=integer_from_literal, required=True)
+    sp.add_argument("--k2", type=integer_argument, required=True)
+    sp.add_argument("--c2", type=integer_argument, required=True)
     sp.set_defaults(handler=_run_slope)
     sp = ops.add_parser("hurwitz")
-    sp.add_argument("--genus", type=integer_from_literal, required=True)
+    sp.add_argument("--genus", type=integer_argument, required=True)
     sp.set_defaults(handler=lambda args: {"bound": geography.hurwitz_bound(args.genus)})
 
     p = sub.add_parser("xiao-scan", help="stream admissible genus-2 (chi, eps, K2) tuples")
-    p.add_argument("--g2", type=integer_from_literal, required=True)
-    p.add_argument("--chi-max", dest="chi_max", type=integer_from_literal, required=True)
+    p.add_argument("--g2", type=integer_argument, required=True)
+    p.add_argument("--chi-max", dest="chi_max", type=integer_argument, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(handler=_run_xiao_scan)
 

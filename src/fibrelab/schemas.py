@@ -5,9 +5,13 @@ these; downstream consumers can import them to do the same.
 
 Every object is closed: it holds exactly the keys its schema lists, and each
 of them is required.  The one exception is a fibre record, which carries
-exactly one of ``param`` and ``minpoly``.
+exactly one of ``param`` and ``minpoly``.  Every enum lists the values of
+the library enum, or of the ``systems`` query table, that it describes.
 """
 
+from . import cli
+from .curves import FibreKind
+from .geography import CheckStatus, SlopeVerdict
 from .polynomial import RATIONAL_PATTERN
 
 _INT = {"type": "integer"}
@@ -26,16 +30,18 @@ def _closed(properties: dict) -> dict:
 MODEL = _closed({"genus": {"type": "integer", "minimum": 1}, "f": _POLY})
 
 FIBRE_CLASS = _closed({
-    "kind": {"enum": ["Smooth", "IrreducibleNodal", "SplitNodal", "NonNodal"]}, "t": _NAT,
+    "kind": {"enum": [k.value for k in FibreKind]}, "t": _NAT,
     "intersections": _INT_OR_NULL, "geometric_genus": _INT_OR_NULL, "euler": _INT_OR_NULL})
 
 # A fibre sits at one rational parameter or at the roots of one minimal
 # polynomial, so a record names exactly one of the two: ``required`` leaves
-# both out and ``oneOf`` asks for one.
+# both out and ``oneOf`` asks for one.  No class is Smooth: a record sits at a
+# root r of Disc, so d1 >= 1 (at a rational r the member has full degree and
+# Disc(r) = disc(f_r) = 0; along an orbit ``orbit_signature`` starts at k = 1).
 _FIBRE_RECORD = {
     **_closed({"param": _STR, "minpoly": _POLY, "conjugates": {"type": "integer", "minimum": 1},
                "nodes": _NAT,
-               "class": {"enum": ["IrreducibleNodal", "SplitNodal", "NonNodal", "Smooth"]}}),
+               "class": {"enum": [k.value for k in FibreKind if k is not FibreKind.SMOOTH]}}),
     "required": ["conjugates", "nodes", "class"],
     "oneOf": [{"required": ["param"]}, {"required": ["minpoly"]}],
 }
@@ -46,7 +52,7 @@ PENCIL_RUN = _closed({
                         "fibres": {"type": "array", "items": _FIBRE_RECORD}}),
 })
 
-SYSTEMS = _closed({"surface": {"enum": ["P1xP1", "F_e", "DelPezzo1"]}, "query": _STR,
+SYSTEMS = _closed({"surface": {"enum": list(cli.SYSTEMS_SURFACES)}, "query": _STR,
                    "result": {}})
 
 INVARIANTS = _closed(dict.fromkeys(
@@ -55,7 +61,7 @@ INVARIANTS = _closed(dict.fromkeys(
 REPORT = _closed({
     "ok": {"type": "boolean"},
     "checks": {"type": "array", "items": _closed({
-        "name": _STR, "status": {"enum": ["pass", "fail", "inapplicable"]},
+        "name": _STR, "status": {"enum": [s.value for s in CheckStatus]},
         "lhs": {}, "rhs": {}, "citation": _STR, "note": _STR})},
 })
 
@@ -67,7 +73,7 @@ SCAN = _closed({"g2": _NAT, "chi_max": _INT, "rows": {"type": "array", "items": 
 ELLIPTIC = _closed({"c2": _INT, "chi": _INT})
 
 SLOPE = _closed({"slope": {"type": ["string", "integer"]},
-                 "verdict": {"enum": ["product-like", "admissible", "inadmissible"]}})
+                 "verdict": {"enum": [v.value for v in SlopeVerdict]}})
 
 HURWITZ = _closed({"bound": _INT})
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import itertools
 import json
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 
 from fibrelab import linear_systems as ls
 from fibrelab import schemas
+from fibrelab.cli import _SYSTEMS_QUERIES
 from cli_examples import DEMO_F0, DEMO_F1, ERROR_EXAMPLES, EXAMPLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -79,14 +81,15 @@ def test_published_schemas_are_closed(name, schema_name):
             assert not validator.is_valid(edited), (path, key)
 
 
-def test_a_fibre_record_names_exactly_one_of_param_and_minpoly():
+def test_a_fibre_record_names_one_of_param_and_minpoly_and_a_singular_class():
     payload = json.loads((GOLDEN / "pencil_demo.json").read_bytes())
     validator = jsonschema.Draft202012Validator(schemas.PENCIL_RUN)
     rational, orbit = payload["summary"]["fibres"]
     assert "param" in rational and "minpoly" in orbit
     for record in ({**rational, "minpoly": orbit["minpoly"]},  # both
                    {**orbit, "param": rational["param"]},      # both
-                   {k: v for k, v in rational.items() if k != "param"}):  # neither
+                   {k: v for k, v in rational.items() if k != "param"},  # neither
+                   {**rational, "class": "Smooth"}):  # a record sits at a root of Disc
         edited = copy.deepcopy(payload)
         edited["summary"]["fibres"][0] = record
         assert not validator.is_valid(edited), record
@@ -99,6 +102,13 @@ def test_error_paths(name, argv, expected_code):
     assert proc.returncode == expected_code
     payload = json.loads(proc.stdout)
     jsonschema.validate(payload, schemas.ERROR)
+
+
+def test_the_cli_does_not_import_the_schemas():
+    proc = subprocess.run([sys.executable, "-c", "import sys; from fibrelab.cli import main; "
+                           "main(['invariants', 'hurwitz', '--genus', '3']); "
+                           "assert 'fibrelab.schemas' not in sys.modules"], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_usage_error_exits_2():
@@ -176,6 +186,34 @@ def test_parameter_file_genus_must_be_an_integer(tmp_path, capsys, command, genu
 
 
 @pytest.mark.parametrize("command", sorted(_PARAMETER_FILES))
+def test_parameter_file_excludes_the_model_flags(tmp_path, capsys, command):
+    from fibrelab.cli import main
+    key, params, flags = _PARAMETER_FILES[command]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({key: 2, **params}))
+    names = ["--genus", *flags[::2]]
+    assert main([command, "--file", str(path), "--genus", "7", *flags]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, schemas.ERROR)
+    assert payload == {"error": f"{command} --file does not read {', '.join(names)}"}
+    assert main([command, "--file", str(path), flags[0], '["1","1"]']) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"{command} --file does not read {flags[0]}"}
+
+
+@pytest.mark.parametrize("command", sorted(_PARAMETER_FILES))
+def test_parameter_file_refuses_unknown_keys(tmp_path, capsys, command):
+    from fibrelab.cli import main
+    key, params, _ = _PARAMETER_FILES[command]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({key: 2, **params, "extra": 1}))
+    assert main([command, "--file", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, schemas.ERROR)
+    assert payload == {"error": f"{command} --file does not read key 'extra'"}
+
+
+@pytest.mark.parametrize("command", sorted(_PARAMETER_FILES))
 def test_parameter_file_not_utf8_exits_2(tmp_path, capsys, command):
     from fibrelab.cli import main
     path = tmp_path / "params.json"
@@ -217,9 +255,9 @@ def test_more_roots_than_the_seeded_stream_holds_exits_1():
 
 @pytest.mark.parametrize("argv,message", [
     (["--surface", "P1xP1", "--query", "bogus"], "unknown P1xP1 query 'bogus'"),
-    (["--surface", "F_e", "--query", "bogus"], "query 'bogus' needs --e"),
+    (["--surface", "F_e", "--query", "bogus"], "unknown F_e query 'bogus'"),
     (["--surface", "F_e", "--e", "1", "--query", "bogus"], "unknown F_e query 'bogus'"),
-    (["--surface", "F_e", "--query", "genus"], "query 'genus' needs --e"),
+    (["--surface", "F_e", "--query", "genus"], "query 'genus' needs --e, --a, --b"),
     (["--surface", "F_e", "--e", "1", "--query", "intersect", "--a", "1"],
      "query 'intersect' needs --b, --a2, --b2"),
     (["--surface", "DelPezzo1", "--query", "h0"], "unknown DelPezzo1 query 'h0'"),
@@ -272,8 +310,13 @@ _SYSTEMS_VALUES = [
 
 
 def test_systems_values_cover_every_query():
-    from fibrelab.cli import _SYSTEMS_QUERIES
     assert {(s, q) for s, q, _ in _SYSTEMS_VALUES} == set(_SYSTEMS_CALLS) == set(_SYSTEMS_QUERIES)
+
+
+@pytest.mark.parametrize("surface,query", sorted(_SYSTEMS_QUERIES))
+def test_each_systems_function_takes_the_flags_its_row_names(surface, query):
+    flags, function = _SYSTEMS_QUERIES[surface, query]
+    assert len(inspect.signature(function).parameters) == len(flags)
 
 
 @pytest.mark.parametrize("surface,query,values", _SYSTEMS_VALUES,

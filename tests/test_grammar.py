@@ -2,14 +2,18 @@
 
 Each token gets the same verdict, and when accepted the same value, from the
 reader in ``fibrelab.polynomial``, from the ``UniPoly`` constructor,
-``Pencil.fibre_at`` and ``j_invariant`` (rational tokens), from the CLI flags
-and from a ``--file`` parameter object.  A rejection on the command line
-exits 2.
+``Pencil.fibre_at`` and ``j_invariant`` (rational tokens), from the CLI flags,
+the experiment scripts' flags and a ``--file`` parameter object.  A rejection
+on the command line exits 2, and an integer flag's rejection is the reader's
+own message.
 """
 
+import importlib.util
 import json
+import pathlib
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -54,13 +58,31 @@ RATIONAL_READERS = {
 }
 
 
-def run(capsys, argv):
-    """Exit code and stdout of the CLI, argparse's own exits included."""
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script_main(name):
+    """The ``main`` of ``scripts/<name>.py`` as a function of its argv, run in this process."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def run_main(argv):
+        with mock.patch.object(sys, "argv", [f"{name}.py", *argv]):
+            module.main()
+    return run_main
+
+
+SCRIPT_MAINS = {name: script_main(name) for name in ("pencil_census", "geography_scan")}
+
+
+def run(capsys, argv, entry=main):
+    """Exit code, stdout and stderr of the CLI or a script, argparse's own exits included."""
     try:
-        code = main(argv)
+        code = entry(argv)
     except SystemExit as exc:
         code = exc.code
-    return code, capsys.readouterr().out
+    return code, *capsys.readouterr()
 
 
 def flag_text(tok) -> str:
@@ -78,11 +100,14 @@ def run_file(capsys, tmp_path, command, params):
     return run(capsys, [command, "--file", str(path)])
 
 
-def assert_rejected(outcome, *, json_error=True):
-    code, out = outcome
+def assert_rejected(outcome, *, usage_error=None):
+    """Exit 2 with one ``{"error": ...}`` line, or with ``usage_error`` on stderr only."""
+    code, out, err = outcome
     assert code == 2
-    if json_error:
+    if usage_error is None:
         jsonschema.validate(json.loads(out), schemas.ERROR)
+    else:
+        assert out == "" and usage_error in err
 
 
 @pytest.mark.parametrize("tok,value,_", TOKENS, ids=IDS)
@@ -90,26 +115,32 @@ def test_integer_token_reads_the_same_on_every_route(capsys, tmp_path, tok, valu
     # genus v as y^2 = x^(2v+2) - 1; v = 0 is a domain error on both sides
     v = 2 if value is None else value
     f = ["-1"] + ["0"] * (2 * v + 1) + ["1"]
+    # route -> (entry point, argv)
     routes = {
-        "classify flags": ["classify", "--genus", flag_text(tok), "--f", json.dumps(f)],
-        "systems --a": ["systems", "--surface", "P1xP1", "--query", "h0",
-                        "--a", flag_text(tok), "--b", "3"],
-        "construct --seed": ["construct", "--genus", "2", "--seed", flag_text(tok)],
+        "classify flags": (main, ["classify", "--genus", flag_text(tok), "--f", json.dumps(f)]),
+        "systems --a": (main, ["systems", "--surface", "P1xP1", "--query", "h0",
+                               "--a", flag_text(tok), "--b", "3"]),
+        "construct --seed": (main, ["construct", "--genus", "2", "--seed", flag_text(tok)]),
+        "pencil_census --genus": (SCRIPT_MAINS["pencil_census"],
+                                  ["--genus", flag_text(tok), "--count", "1"]),
+        "geography_scan --g2": (SCRIPT_MAINS["geography_scan"],
+                                ["--g2", flag_text(tok), "--chi-max", "8"]),
     }
     file_params = {"genus": tok, "f": f}
     if value is None:
         with pytest.raises(LiteralError):
             integer_from_literal(tok)
-        assert_rejected(run(capsys, routes.pop("classify flags")))
-        for argv in routes.values():
-            assert_rejected(run(capsys, argv), json_error=False)
+        assert_rejected(run(capsys, routes.pop("classify flags")[1]))
+        for entry, argv in routes.values():
+            assert_rejected(run(capsys, argv, entry), usage_error=(
+                f"bad integer {flag_text(tok)!r}: expected an integer"))
         assert_rejected(run_file(capsys, tmp_path, "classify", file_params))
         return
     assert integer_from_literal(tok) == value
-    canonical = {name: run(capsys, [str(value) if a == flag_text(tok) else a for a in argv])
-                 for name, argv in routes.items()}
-    for name, argv in routes.items():
-        assert run(capsys, argv) == canonical[name], name
+    canonical = {name: run(capsys, [str(value) if a == flag_text(tok) else a for a in argv], entry)
+                 for name, (entry, argv) in routes.items()}
+    for name, (entry, argv) in routes.items():
+        assert run(capsys, argv, entry) == canonical[name], name
     assert run_file(capsys, tmp_path, "classify", file_params) == canonical["classify flags"]
 
 

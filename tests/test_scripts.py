@@ -46,6 +46,19 @@ def test_pencil_demo_under_optimisation_matches_golden():
     assert proc.stdout == (TESTS / "golden" / "pencil_demo.json").read_bytes()
 
 
+@pytest.mark.parametrize("name,argv,message", [
+    ("pencil_census.py", ["--genus", "1"], "error: pencil genus must be >= 2"),
+    ("geography_scan.py", ["--g2", "-1"], "error: base genus must be nonnegative"),
+    ("geography_scan.py", ["--g2", "3", "--chi-max", "1"],
+     "error: chi_max below the minimum chi = g2 - 1"),
+])
+def test_a_domain_error_is_one_stderr_line_and_exit_1(name, argv, message):
+    proc = run_script(name, *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == b""  # checked before any output
+    assert proc.stderr.decode() == message + "\n"
+
+
 @pytest.mark.parametrize("g2", [0, 1, 2])
 def test_geography_scan_validates(g2):
     # g2 >= 1 reaches the q = g2 stratum that g2 = 0 never produces
