@@ -117,10 +117,12 @@ def _check(name, lhs, relation, rhs, citation, note="", skip="") -> Check:
 def noether_complete(inv: SurfaceInvariants) -> SurfaceInvariants:
     """Complete a partial tuple through 12 chi = K2 + e and chi = 1 - q + p_g.
 
-    Each identity must come with exactly two of its three members supplied
-    (a chi computed by the other identity counts); anything else is over- or
-    under-determined.  A non-integral chi from (K2, e) is rejected: no
-    smooth compact surface has such a pair.
+    A tuple is over-determined when chi comes with both other members of one
+    identity, and under-determined when neither identity has two members (a
+    chi from the other counts).  Without chi, K2, e, q and p_g may all be
+    given: chi comes from (K2, e), and SurfaceInvariants refuses a tuple that
+    then breaks chi = 1 - q + p_g.  A non-integral chi from (K2, e) is
+    rejected: no smooth compact surface has such a pair.
     """
     chi, q, p_g, K2, e = inv.chi, inv.q, inv.p_g, inv.K2, inv.e
     n_count = sum(v is not None for v in (chi, K2, e))
@@ -169,9 +171,8 @@ def fibration_chi_bounds(inv: SurfaceInvariants) -> GeographyReport:
     g1, g2, chi, q, e = inv.g1, inv.g2, inv.chi, inv.q, inv.e
     no_q = "q not supplied" if q is None else ""
     return GeographyReport((
-        _check("chi_fibration", chi, ">=", 2 * (g1 - 1) * (g2 - 1), "BHPV III, Cor. 11.6"),
-        _check("chi_genus2", chi, ">=", g2 - 1, "Beauville; Xiao LNM 1137, p. 7",
-               skip="needs g1 = 2" if g1 != 2 else ""),
+        # chi - (g1 - 1)(g2 - 1) = deg f_* omega_X/B >= 0, 0 on a product of curves
+        _check("chi_fibration", chi, ">=", (g1 - 1) * (g2 - 1), "Fujita, JMSJ 30 (1978)"),
         _check("q_lower", q, ">=", g2, "pullback of Pic(D) is injective", skip=no_q),
         _check("q_upper", q, "<=", g1 + g2, "Beauville's irregularity bound", skip=no_q),
         _check("euler_fibration", e, ">=", 4 * (g1 - 1) * (g2 - 1), "BHPV III.11.6",

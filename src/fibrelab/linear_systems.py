@@ -95,10 +95,8 @@ def hirzebruch_genus(c: HirzebruchClass) -> int:
     """Adjunction genus 1 + C.(C + K)/2 with K = -2h - (e + 2)f."""
     k = HirzebruchClass(c.e, -2, -(c.e + 2))
     candidate = HirzebruchClass(c.e, c.a + k.a, c.b + k.b)
-    twice = hirzebruch_intersection(c, candidate)
-    if twice % 2:
-        raise ValueError("non-effective or malformed class")
-    return 1 + twice // 2
+    # C.(C + K) = 2(ab - a - b) - e a(a - 1) is even for every class
+    return 1 + hirzebruch_intersection(c, candidate) // 2
 
 
 def hirzebruch_effective(c: HirzebruchClass) -> bool:

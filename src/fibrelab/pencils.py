@@ -198,7 +198,7 @@ def _reduced_gcd(p: UniPoly, q: UniPoly, m: UniPoly, start: int):
         if s[k]:
             return k, UniPoly(tuple(s))
     # psc at k = deg q is a power of lc(q), which m does not divide
-    raise ValueError(f"{DEGREE_DROP} along factor {m}")
+    raise ValueError(f"{DEGREE_DROP} along factor {unipoly_to_literal(m)}")
 
 
 def orbit_signature(f: UniPoly, m: UniPoly):
@@ -215,7 +215,7 @@ def orbit_signature(f: UniPoly, m: UniPoly):
     round keeps the coefficients of ``u`` below degree ``deg m`` in lam.
     """
     if not f.leading_coefficient % m:
-        raise ValueError(f"{DEGREE_DROP} along factor {m}")
+        raise ValueError(f"{DEGREE_DROP} along factor {unipoly_to_literal(m)}")
     signature = [0, 0, 0]
     u = f
     for i, start in enumerate((1, 0, 0)):

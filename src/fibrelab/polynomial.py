@@ -87,20 +87,6 @@ class UniPoly:
         return cls((Fraction(1),))
 
     @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls((_coerce(c),))
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> "UniPoly":
-        if power < 0:
-            raise ValueError("negative power")
-        return cls((Fraction(0),) * power + (_coerce(coeff),))
-
-    @classmethod
     def from_roots(cls, roots: Iterable, leading=1) -> "UniPoly":
         """Monic-times-``leading`` product of ``(x - r)`` over rational ``roots``.
 
@@ -210,9 +196,6 @@ class UniPoly:
                 rem[k - other.degree + i] = rem[k - other.degree + i] - c * b
         return UniPoly(tuple(quot)), UniPoly(tuple(rem))
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
@@ -225,28 +208,6 @@ class UniPoly:
         if self.is_zero:
             return self
         return self / self.leading_coefficient
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Substitution ``self(inner(x))`` by Horner's rule."""
-        acc = UniPoly.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * inner + UniPoly.constant(c)
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(reversed(parts)).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,10 @@ EXAMPLES = [
     ("invariants_chi_bounds", ["invariants", "chi-bounds", "--chi", "1", "--q", "0",
                                "--pg", "0", "--g1", "2", "--g2", "0"],
      "REPORT", "json"),
+    ("invariants_chi_bounds_product", ["invariants", "chi-bounds", "--chi", "1", "--q", "4",
+                                       "--pg", "4", "--k2", "8", "--e", "4",
+                                       "--g1", "2", "--g2", "2"],
+     "REPORT", "json"),
     ("invariants_general_type", ["invariants", "general-type", "--k2", "2", "--pg", "3",
                                  "--e", "10", "--minimal"],
      "REPORT", "json"),

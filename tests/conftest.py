@@ -21,6 +21,14 @@ def to_sympy(p: UniPoly):
                for i, c in enumerate(p.coefficients))
 
 
+def compose(p: UniPoly, inner: UniPoly) -> UniPoly:
+    """Substitution ``p(inner(x))`` by Horner's rule."""
+    acc = UniPoly.zero()
+    for c in reversed(p.coefficients):
+        acc = acc * inner + UniPoly((c,))
+    return acc
+
+
 def gaussian_det(rows) -> Fraction:
     """Scalar determinant by Gaussian elimination over Fraction.
 
@@ -55,12 +63,12 @@ def lagrange_poly_matrix_det(rows) -> UniPoly:
     by :func:`gaussian_det`, and the values are interpolated by Lagrange's
     formula over Fraction.
     """
-    norm = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in rows]
+    norm = [[e if isinstance(e, UniPoly) else UniPoly((e,)) for e in row] for row in rows]
     bound = sum(max((e.degree for e in row), default=0) for row in norm)
     nodes = [Fraction(i) for i in range(bound + 1)]
     result = UniPoly.zero()
     for xi in nodes:
-        num = UniPoly.constant(gaussian_det([[e(xi) for e in row] for row in norm]))
+        num = UniPoly((gaussian_det([[e(xi) for e in row] for row in norm]),))
         den = Fraction(1)
         for xj in nodes:
             if xj != xi:
@@ -100,7 +108,7 @@ def sylvester_minor(p: UniPoly, q: UniPoly, k: int, j: int) -> UniPoly:
     minor = [row[:len(rows) - 1] + [row[column]] for row in rows]
     if any(isinstance(c, UniPoly) for c in p.coefficients + q.coefficients):
         return lagrange_poly_matrix_det(minor)
-    return UniPoly.constant(gaussian_det(minor))
+    return UniPoly((gaussian_det(minor),))
 
 
 def fraction_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -114,10 +122,10 @@ def fraction_squarefree_decomposition(p: UniPoly):
     """Yun's squarefree decomposition by Euclid over Fraction.
 
     Independent of the package, which has no squarefree decomposition:
-    monic gcds by :func:`fraction_gcd` and quotients by
-    ``UniPoly.__floordiv__``, all over Q.  Returns ``[(factor,
-    multiplicity), ...]`` with monic squarefree pairwise coprime factors in
-    ascending multiplicity; a nonzero constant decomposes into ``[]``.
+    monic gcds by :func:`fraction_gcd` and quotients by ``divmod``, all
+    over Q.  Returns ``[(factor, multiplicity), ...]`` with monic squarefree
+    pairwise coprime factors in ascending multiplicity; a nonzero constant
+    decomposes into ``[]``.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no decomposition")
@@ -127,16 +135,16 @@ def fraction_squarefree_decomposition(p: UniPoly):
     d = fraction_gcd(p, p.derivative())
     if d.degree == 0:
         return [(p, 1)]
-    b = p // d
-    z = (p.derivative() // d) - b.derivative()
+    b = divmod(p, d)[0]
+    z = divmod(p.derivative(), d)[0] - b.derivative()
     out = []
     i = 1
     while b.degree > 0:
         a = fraction_gcd(b, z)
         if a.degree > 0:
             out.append((a, i))
-        b = b // a
-        z = (z // a) - b.derivative()
+        b = divmod(b, a)[0]
+        z = divmod(z, a)[0] - b.derivative()
         i += 1
     return out
 

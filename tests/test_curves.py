@@ -19,9 +19,9 @@ from fibrelab.curves import (
 )
 from fibrelab.polynomial import UniPoly, unipoly_from_literal
 
-from conftest import yun_signature, yun_singular_points
+from conftest import compose, yun_signature, yun_singular_points
 
-X = UniPoly.x()
+X = UniPoly((0, 1))
 
 
 def model(g, rooted) -> HyperellipticModel:
@@ -80,7 +80,7 @@ class TestClassify:
         assert fc.kind == FibreKind.NON_NODAL
 
     def test_leading_coefficient_is_irrelevant(self):
-        fc = classify(model(2, UniPoly.from_roots([0, 1, 2], leading=Fraction(-5, 3)) ** 2 * UniPoly.constant(Fraction(3, 5))))
+        fc = classify(model(2, UniPoly.from_roots([0, 1, 2], leading=Fraction(-5, 3)) ** 2 * UniPoly((Fraction(3, 5),))))
         assert fc.kind == FibreKind.SPLIT_NODAL
 
 
@@ -162,7 +162,7 @@ class TestAffineInvariance:
             alpha = Fraction(rng.choice([c for c in range(-5, 6) if c]),
                              rng.randint(1, 4))
             beta = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            substituted = HyperellipticModel(g, m.f.compose(UniPoly((beta, alpha))))
+            substituted = HyperellipticModel(g, compose(m.f, UniPoly((beta, alpha))))
             assert classify(substituted) == classify(m)
 
 
@@ -171,7 +171,7 @@ class TestSingularPoints:
         assert singular_points(construct_nodal(2, 0, 3)) == []
 
     def test_planted_rational_node(self):
-        f = (X - UniPoly.constant(Fraction(1, 2))) ** 2 * UniPoly.from_roots([1, 2, 3, 4])
+        f = (X - UniPoly((Fraction(1, 2),))) ** 2 * UniPoly.from_roots([1, 2, 3, 4])
         pts = singular_points(model(2, f))
         assert [(p.location, p.local_type) for p in pts] == [(Fraction(1, 2), "node")]
 
@@ -218,10 +218,10 @@ def planted_model(rng, g) -> HyperellipticModel:
         while r in roots:
             r = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
         roots.add(r)
-        return X - UniPoly.constant(r)
+        return X - UniPoly((r,))
 
     split = rng.random() < 0.2
-    f = UniPoly.constant(lead)
+    f = UniPoly((lead,))
     want = g + 1 if split else n
     while f.degree < want:
         room = want - f.degree

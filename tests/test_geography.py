@@ -67,8 +67,12 @@ class TestNoetherComplete:
         done = noether_complete(SurfaceInvariants(q=0, p_g=0, K2=9))
         assert (done.chi, done.e) == (1, 3)
 
+    def test_consistent_double_pair_completes(self):
+        # without chi both identities may take both their other members
+        assert noether_complete(SurfaceInvariants(K2=9, e=3, q=0, p_g=0)).chi == 1
+
     def test_inconsistent_double_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="violate chi = 1 - q"):
             noether_complete(SurfaceInvariants(K2=9, e=3, q=5, p_g=1))
 
 
@@ -101,8 +105,27 @@ class TestBlowUp:
 
 class TestFibrationChiBounds:
     def test_violating_chi(self):
-        report = fibration_chi_bounds(SurfaceInvariants(chi=1, q=2, g1=2, g2=2))
+        report = fibration_chi_bounds(SurfaceInvariants(chi=0, q=2, g1=2, g2=2))
         assert by_name(report, "chi_fibration").status == CheckStatus.FAIL
+
+    @pytest.mark.parametrize("g1,g2", itertools.product(range(2, 6), repeat=2))
+    def test_a_product_of_curves_meets_the_bounds_with_equality(self, g1, g2):
+        # C_g1 x C_g2: chi = (g1-1)(g2-1), q = g1 + g2, K2 = 2e = 8(g1-1)(g2-1)
+        chi = (g1 - 1) * (g2 - 1)
+        inv = noether_complete(SurfaceInvariants(q=g1 + g2, p_g=g1 * g2, K2=8 * chi,
+                                                 g1=g1, g2=g2))
+        report = fibration_chi_bounds(inv)
+        assert report.ok
+        for name in ("chi_fibration", "q_upper", "euler_fibration"):
+            assert by_name(report, name).lhs == by_name(report, name).rhs
+
+    @pytest.mark.parametrize("g2", range(4))
+    def test_every_scanned_genus_two_tuple_passes(self, g2):
+        for row in xiao_admissible_scan(g2, 6):
+            for K2 in (row.k2_min, row.k2_max):
+                inv = SurfaceInvariants(chi=row.chi, q=row.q, p_g=row.p_g, K2=K2,
+                                        e=12 * row.chi - K2, g1=2, g2=g2)
+                assert fibration_chi_bounds(inv).ok, row
 
     def test_all_pass_for_rational_base_genus_two_fibre(self):
         report = fibration_chi_bounds(SurfaceInvariants(chi=1, q=0, p_g=0, g1=2, g2=0))
@@ -327,7 +350,7 @@ def test_report_serialisation_shape():
     report = fibration_chi_bounds(SurfaceInvariants(chi=1, q=0, p_g=0, g1=2, g2=0))
     payload = report.to_dict()
     assert payload["ok"] is True
-    assert {c["name"] for c in payload["checks"]} >= {"chi_fibration", "chi_genus2"}
+    assert {c["name"] for c in payload["checks"]} >= {"chi_fibration", "q_upper"}
     for check in payload["checks"]:
         assert set(check) == {"name", "status", "lhs", "rhs", "citation", "note"}
 
@@ -339,7 +362,7 @@ _XIAO_HEAD = ["eps_pg", "eps_parity", "eps_lower", "eps_upper", "eps_forced_by_q
 _REPORT_SHAPES = {
     "chi_bounds": (
         fibration_chi_bounds,
-        ["chi_fibration", "chi_genus2", "q_lower", "q_upper", "euler_fibration"]),
+        ["chi_fibration", "q_lower", "q_upper", "euler_fibration"]),
     "xiao_i": (
         lambda inv: xiao_validate(inv, XiaoCase.CASE_I),
         _XIAO_HEAD + ["k2_lower_i", "k2_upper_i", "eps_half_i", "k2_8chi"]),
@@ -361,7 +384,7 @@ _XIAO_CONDITIONAL = ["eps_forced_by_q", "q_iff_eps_forward", "q_iff_eps_backward
 # the values "is inapplicable" takes over the tuples; every other check is
 # applicable on all of them
 _INAPPLICABLE_SEEN = {
-    "chi_bounds": dict.fromkeys(["chi_genus2", "q_lower", "q_upper", "euler_fibration"], _BOTH),
+    "chi_bounds": dict.fromkeys(["q_lower", "q_upper", "euler_fibration"], _BOTH),
     "xiao_i": dict.fromkeys(_XIAO_CONDITIONAL + ["k2_lower_i", "k2_upper_i", "eps_half_i"],
                             _BOTH),
     "xiao_ii": dict.fromkeys(_XIAO_CONDITIONAL, _BOTH),

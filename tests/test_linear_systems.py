@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,12 @@ class TestHirzebruch:
             for b in range(1, 7):
                 assert hirzebruch_genus(HirzebruchClass(0, a, b)) == \
                     arithmetic_genus_p1xp1(Bidegree(a, b))
+
+    @pytest.mark.parametrize("e", range(5))
+    def test_adjunction_genus_on_a_grid(self, e):
+        for a, b in itertools.product(range(-3, 7), repeat=2):
+            assert hirzebruch_genus(HirzebruchClass(e, a, b)) == \
+                1 + a * b - a - b - e * a * (a - 1) // 2
 
     def test_effectivity_helper(self):
         assert hirzebruch_effective(HirzebruchClass(3, 2, 6))
