@@ -38,7 +38,8 @@ def _load_params_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or too many digits
+    # ValueError: not UTF-8, not JSON, or too many digits; RecursionError: nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         raise LiteralError(f"cannot read parameter file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise LiteralError("parameter file must hold a JSON object")
@@ -72,7 +73,7 @@ def _read_parameters(args, from_dict, genus_key: str, *json_flags: str):
             if (text := getattr(args, name)) is not None:
                 try:
                     params[name] = json.loads(text)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
                     raise LiteralError(f"polynomial literal is not valid JSON: {exc}") from exc
     try:
         return from_dict(params)
@@ -156,35 +157,35 @@ def _invariants_from_args(args) -> geography.SurfaceInvariants:
         g1=flag("g1"), g2=flag("g2"), epsilon=flag("epsilon"), d=flag("d"))
 
 
-def _run_noether_complete(args) -> dict:
-    return geography.noether_complete(_invariants_from_args(args)).to_dict()
+# the integer invariant flags an operation reads
+_NUMBERS = ("chi", "q", "pg", "k2", "e")
+_FIBRATION = (*_NUMBERS, "g1", "g2")
+_EVERY = (*_FIBRATION, "epsilon")
+_REQUIRED = {"type": integer_argument, "required": True}
 
-
-def _run_blow_up(args) -> dict:
-    return geography.blow_up(_invariants_from_args(args), args.n).to_dict()
-
-
-def _run_chi_bounds(args) -> dict:
-    return geography.fibration_chi_bounds(_invariants_from_args(args)).to_dict()
-
-
-def _run_xiao_validate(args) -> dict:
-    case = geography.XiaoCase.CASE_I if args.case == "i" else geography.XiaoCase.CASE_II
-    return geography.xiao_validate(_invariants_from_args(args), case).to_dict()
-
-
-def _run_general_type(args) -> dict:
-    return geography.general_type_checks(_invariants_from_args(args), args.minimal).to_dict()
-
-
-def _run_elliptic_c2(args) -> dict:
-    c2, chi = geography.elliptic_c2(args.d)
-    return {"c2": c2, "chi": chi}
-
-
-def _run_slope(args) -> dict:
-    nu, verdict = geography.kodaira_slope(args.k2, args.c2)
-    return {"slope": geography.json_number(nu), "verdict": verdict.value}
+# operation -> (the invariant flags it reads, its other flags as argparse keywords,
+#               function of the parsed arguments that returns the payload), in help order
+_INVARIANTS_OPERATIONS = {
+    "noether-complete": ((*_EVERY, "d"), {}, lambda args: geography.noether_complete(
+        _invariants_from_args(args)).to_dict()),
+    "blow-up": (_EVERY, {"n": {"type": integer_argument, "default": 1}},
+                lambda args: geography.blow_up(_invariants_from_args(args), args.n).to_dict()),
+    "chi-bounds": (_FIBRATION, {}, lambda args: geography.fibration_chi_bounds(
+        _invariants_from_args(args)).to_dict()),
+    "xiao-validate": (_EVERY, {"case": {"choices": ["i", "ii"], "default": "ii"}},
+                      lambda args: geography.xiao_validate(
+                          _invariants_from_args(args), f"case_{args.case}").to_dict()),
+    "general-type": (_NUMBERS, {"minimal": {"action": "store_true"}},
+                     lambda args: geography.general_type_checks(
+                         _invariants_from_args(args), args.minimal).to_dict()),
+    "elliptic-c2": ((), {"d": _REQUIRED},
+                    lambda args: dict(zip(("c2", "chi"), geography.elliptic_c2(args.d)))),
+    "slope": ((), {"k2": _REQUIRED, "c2": _REQUIRED}, lambda args: (
+        lambda nu, verdict: {"slope": geography.json_number(nu), "verdict": verdict.value})(
+            *geography.kodaira_slope(args.k2, args.c2))),
+    "hurwitz": ((), {"genus": _REQUIRED},
+                lambda args: {"bound": geography.hurwitz_bound(args.genus)}),
+}
 
 
 def _run_xiao_scan(args) -> dict | None:
@@ -247,43 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="surface-invariant identities and bounds")
     ops = p.add_subparsers(dest="operation", required=True)
 
-    def add_inv_flags(sp, *names):
-        for name in names:
+    for operation, (flags, options, function) in _INVARIANTS_OPERATIONS.items():
+        sp = ops.add_parser(operation)
+        for name in flags:
             sp.add_argument(f"--{name}", type=integer_argument)
-
-    # the invariant flags each operation reads
-    numbers = ("chi", "q", "pg", "k2", "e")
-    fibration = (*numbers, "g1", "g2")
-    every = (*fibration, "epsilon")
-
-    sp = ops.add_parser("noether-complete")
-    add_inv_flags(sp, *every, "d")
-    sp.set_defaults(handler=_run_noether_complete)
-    sp = ops.add_parser("blow-up")
-    add_inv_flags(sp, *every)
-    sp.add_argument("--n", type=integer_argument, default=1)
-    sp.set_defaults(handler=_run_blow_up)
-    sp = ops.add_parser("chi-bounds")
-    add_inv_flags(sp, *fibration)
-    sp.set_defaults(handler=_run_chi_bounds)
-    sp = ops.add_parser("xiao-validate")
-    add_inv_flags(sp, *every)
-    sp.add_argument("--case", choices=["i", "ii"], default="ii")
-    sp.set_defaults(handler=_run_xiao_validate)
-    sp = ops.add_parser("general-type")
-    add_inv_flags(sp, *numbers)
-    sp.add_argument("--minimal", action="store_true")
-    sp.set_defaults(handler=_run_general_type)
-    sp = ops.add_parser("elliptic-c2")
-    sp.add_argument("--d", type=integer_argument, required=True)
-    sp.set_defaults(handler=_run_elliptic_c2)
-    sp = ops.add_parser("slope")
-    sp.add_argument("--k2", type=integer_argument, required=True)
-    sp.add_argument("--c2", type=integer_argument, required=True)
-    sp.set_defaults(handler=_run_slope)
-    sp = ops.add_parser("hurwitz")
-    sp.add_argument("--genus", type=integer_argument, required=True)
-    sp.set_defaults(handler=lambda args: {"bound": geography.hurwitz_bound(args.genus)})
+        for name, keywords in options.items():
+            sp.add_argument(f"--{name}", **keywords)
+        sp.set_defaults(handler=function)
 
     p = sub.add_parser("xiao-scan", help="stream admissible genus-2 (chi, eps, K2) tuples")
     p.add_argument("--g2", type=integer_argument, required=True)

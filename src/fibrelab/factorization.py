@@ -18,7 +18,11 @@ from __future__ import annotations
 
 from .polynomial import UniPoly, _integer_primitive, _monic_fraction
 
-_CERTIFY_FROM_DEGREE = 24  # below it sympy alone is as fast, so a failed try is pure cost
+# Census-style split inputs set the gate, not speed on irreducible input (the certificate
+# wins there from degree 18 on): the u1 = gcd(f, f') of a constructed curve is a product of
+# rational linear factors, so the certificate fails on it, and a failed try costs more than
+# sympy's whole factorization.  Move the gate only after re-measuring both kinds of input.
+_CERTIFY_FROM_DEGREE = 24
 _CERTIFY_PRIMES = 12  # good primes below 200 tried before the certificate gives up
 
 

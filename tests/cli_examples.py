@@ -72,4 +72,6 @@ ERROR_EXAMPLES = [
      ["classify", "--genus", "2", "--f", "x^6-1"], 2),
     ("classify_degree_drop",
      ["classify", "--genus", "2", "--f", '["1","1"]'], 1),
+    ("classify_nested_too_deeply",  # json.loads raises RecursionError, not ValueError
+     ["classify", "--genus", "2", "--f", "[" * 20000 + "]" * 20000], 2),
 ]

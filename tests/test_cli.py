@@ -12,7 +12,7 @@ import pytest
 
 from fibrelab import linear_systems as ls
 from fibrelab import schemas
-from fibrelab.cli import _SYSTEMS_QUERIES
+from fibrelab.cli import _INVARIANTS_OPERATIONS, _SYSTEMS_QUERIES
 from cli_examples import DEMO_F0, DEMO_F1, ERROR_EXAMPLES, EXAMPLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -214,6 +214,17 @@ def test_parameter_file_refuses_unknown_keys(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", sorted(_PARAMETER_FILES))
+def test_parameter_file_nested_too_deeply_exits_2(tmp_path, capsys, command):
+    from fibrelab.cli import main
+    path = tmp_path / "params.json"
+    path.write_text("[" * 20000 + "]" * 20000)
+    assert main([command, "--file", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, schemas.ERROR)
+    assert payload["error"].startswith(f"cannot read parameter file {path}: ")
+
+
+@pytest.mark.parametrize("command", sorted(_PARAMETER_FILES))
 def test_parameter_file_not_utf8_exits_2(tmp_path, capsys, command):
     from fibrelab.cli import main
     path = tmp_path / "params.json"
@@ -367,15 +378,20 @@ def test_flags_the_subcommand_does_not_read_exit_2(argv, message, capsys):
     assert payload == {"error": message}
 
 
-@pytest.mark.parametrize("argv,unread", [
-    (["chi-bounds", "--chi", "1", "--q", "0", "--pg", "0", "--g1", "2", "--g2", "0"],
-     ["--epsilon", "7"]),
-    (["general-type", "--k2", "2", "--pg", "3", "--e", "10", "--minimal"], ["--g1", "9"]),
-    (["general-type", "--k2", "2", "--pg", "3", "--e", "10", "--minimal"], ["--g2", "4"]),
-    (["general-type", "--k2", "2", "--pg", "3", "--e", "10", "--minimal"], ["--epsilon", "3"]),
-], ids=["chi-bounds-epsilon", "general-type-g1", "general-type-g2", "general-type-epsilon"])
-def test_invariant_flags_the_operation_does_not_read_exit_2(argv, unread, capsys):
+_INVARIANT_FLAGS = ("chi", "q", "pg", "k2", "e", "g1", "g2", "epsilon", "d")
+# (operation, an invariant flag its row does not declare), for every operation
+_UNREAD_INVARIANT_FLAGS = [
+    (operation, name) for operation, (flags, options, _) in _INVARIANTS_OPERATIONS.items()
+    for name in _INVARIANT_FLAGS if name not in (*flags, *options)]
+
+
+@pytest.mark.parametrize("operation,name", _UNREAD_INVARIANT_FLAGS,
+                         ids=[f"{o}-{n}" for o, n in _UNREAD_INVARIANT_FLAGS])
+def test_invariant_flags_the_operation_does_not_read_exit_2(operation, name, capsys):
     from fibrelab.cli import main
+    # the argv of the operation's first documented example, after "invariants"
+    argv = next(ex[1:] for _, ex, _, _ in EXAMPLES if ex[:2] == ["invariants", operation])
+    unread = [f"--{name}", "7"]
     assert main(["invariants", *argv]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
