@@ -23,7 +23,17 @@ _SIGN_NOTE = ("note: singular-fibre contributions enter as e(F_s) - e(F), "
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+    """One JSON line.  Every input has been read by now, so an int of any length
+    prints: the int-to-str digit limit is lifted while the line is written."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none, as before Python 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(obj)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 def integer_argument(text: str) -> int:

@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
+from .polynomial import _rational_text
+
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
@@ -58,7 +60,7 @@ def json_number(v):
     """A Fraction as an int when integral and as its ``p/q`` string otherwise;
     any other value unchanged."""
     if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
+        return int(v) if v.denominator == 1 else _rational_text(v)
     return v
 
 

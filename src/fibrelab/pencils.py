@@ -9,13 +9,15 @@ after the two-valued rescaling ``y -> sqrt(lam) y``.)  It is not classified,
 and nothing printed stands for it.  Singular fibres sit over the roots of
 ``Disc_x(f_lam)``, one record per Galois orbit of roots as
 :func:`fibrelab.factorization.galois_orbits` names and orders them.  Node
-counts are exact, never numerical: at a rational root by the gcd chain of its
-member over Q (:func:`fibrelab.curves.classify`), and along a conjugate orbit,
-the roots of an irreducible factor m of the discriminant, by subresultant
-certificates over Q[lam]: the gcd degrees of the fibre are the least k for
-which m does not divide a principal subresultant coefficient psc_k.  Every
-subresultant over Q[lam] comes from one subresultant remainder chain per
-integer node of lam, interpolated (:func:`fibrelab.polynomial.subresultant`).
+counts are exact, never numerical.  An orbit is the roots of an irreducible
+factor m of the discriminant, a rational root r the orbit of ``m = lam - r``,
+and every orbit is classified by subresultant certificates over Q[lam]/(m):
+the gcd degrees of the fibre are the least k for which m does not divide a
+principal subresultant coefficient psc_k.  The member is reduced mod m first,
+which for ``lam - r`` is evaluation at r.  Every subresultant comes from one
+subresultant remainder chain per integer node of lam, interpolated
+(:func:`fibrelab.polynomial.subresultant`); a member reduced mod a linear m
+has constant coefficients and needs one node.
 
 The printed ``e_total`` is the affine-chart sum
 
@@ -40,7 +42,6 @@ from .curves import (
     DEGREE_DROP,
     FibreKind,
     HyperellipticModel,
-    classify,
     classify_signature,
     seeded_rationals,
 )
@@ -48,6 +49,7 @@ from .factorization import galois_orbits
 from .polynomial import (
     UniPoly,
     _coerce,
+    _rational_text,
     integer_from_literal,
     subresultant,
     unipoly_from_literal,
@@ -126,7 +128,7 @@ class SingularFibreRecord:
 
     def to_dict(self) -> dict:
         if isinstance(self.parameter, Fraction):
-            key = {"param": str(self.parameter)}
+            key = {"param": _rational_text(self.parameter)}
         else:
             key = {"minpoly": unipoly_to_literal(self.parameter)}
         return {
@@ -193,31 +195,33 @@ def _reduced_gcd(p: UniPoly, q: UniPoly, m: UniPoly, start: int):
     ``psc_k`` is nonzero mod ``m`` and ``s`` the subresultant ``S_k(p, q)``
     with its coefficients reduced mod ``m``, so of degree ``k`` in x.
     """
+    # psc at k = deg q is a power of lc(q), nonzero mod the irreducible m, so the loop returns
     for k in range(start, q.degree + 1):
         s = [c % m for c in subresultant(p, q, k)]
         if s[k]:
             return k, UniPoly(tuple(s))
-    # psc at k = deg q is a power of lc(q), which m does not divide
-    raise ValueError(f"{DEGREE_DROP} along factor {unipoly_to_literal(m)}")
 
 
 def orbit_signature(f: UniPoly, m: UniPoly):
     """Gcd-degree signature ``(d1, d2, d3)`` of ``f`` over ``Q[lam]/(m)``.
 
     ``f`` is a polynomial in x with coefficients in ``Q[lam]``; ``m`` is an
-    irreducible factor of ``Disc_x(f)`` that does not divide ``lc(f)``, so
-    one root of ``m`` is one fibre of the orbit.  ``d1`` is the least
-    ``k >= 1`` with ``psc_k(f, f')`` nonzero mod ``m`` (``psc_0`` is
-    ``+-lc(f) Disc(f)``).  When ``d1 >= 2`` the subresultant
+    irreducible factor of ``Disc_x(f)``, so one root of ``m`` is one fibre of
+    the orbit (of a linear ``m = lam - r``, the rational parameter ``r``).
+    ``f`` is reduced mod ``m`` first and refused if that drops its degree.
+    ``d1`` is the least ``k >= 1`` with ``psc_k(f, f')`` nonzero mod ``m``
+    (``psc_0`` is ``+-lc(f) Disc(f)``).  When ``d1 >= 2`` the subresultant
     ``u1 = S_d1(f, f')``, reduced mod ``m``, is a unit multiple of
     ``gcd(f, f')`` over ``Q[lam]/(m)``, and the same test on ``(u1, u1')``
-    gives ``d2``, then on ``(u2, u2')`` gives ``d3``.  Reducing before the next
+    gives ``d2``, then on ``(u2, u2')`` gives ``d3``.  Reducing before each
     round keeps the coefficients of ``u`` below degree ``deg m`` in lam.
     """
-    if not f.leading_coefficient % m:
-        raise ValueError(f"{DEGREE_DROP} along factor {unipoly_to_literal(m)}")
+    u = UniPoly(tuple(c % m for c in f.coefficients))
+    if u.degree < f.degree:
+        where = (f"along factor {unipoly_to_literal(m)}" if m.degree > 1 else
+                 f"at parameter {_rational_text(-m.coefficients[0] / m.leading_coefficient)}")
+        raise ValueError(f"{DEGREE_DROP} {where}")
     signature = [0, 0, 0]
-    u = f
     for i, start in enumerate((1, 0, 0)):
         signature[i], u = _reduced_gcd(u, u.derivative(), m, start)
         if signature[i] < 2:  # a linear u is coprime to the constant u'
@@ -244,19 +248,14 @@ def euler_summary(g: int, records: Sequence[SingularFibreRecord],
 def total_space_euler(pencil: Pencil) -> FibrationSummary:
     """One pass: the discriminant, its Galois orbits, one record per orbit.
 
-    A rational parameter is classified by the gcd chain over Q on its member,
-    a conjugate orbit by :func:`orbit_signature`.
+    Every orbit is classified by :func:`orbit_signature`, a rational
+    parameter ``r`` as the orbit of ``lam - r``.
     """
     disc = pencil_discriminant(pencil)
     f = pencil.member()
     records = []
     for location, _mult in galois_orbits(disc):
-        if isinstance(location, Fraction):
-            fibre = pencil.fibre_at(location)
-            if fibre.degree != 2 * pencil.g + 2:
-                raise ValueError(f"{DEGREE_DROP} at parameter {location}")
-            fc, count = classify(HyperellipticModel(pencil.g, fibre)), 1
-        else:
-            fc, count = classify_signature(pencil.g, *orbit_signature(f, location)), location.degree
-        records.append(SingularFibreRecord(location, count, fc.t, fc.kind))
+        m = UniPoly((-location, 1)) if isinstance(location, Fraction) else location
+        fc = classify_signature(pencil.g, *orbit_signature(f, m))
+        records.append(SingularFibreRecord(location, m.degree, fc.t, fc.kind))
     return euler_summary(pencil.g, records, disc.degree)

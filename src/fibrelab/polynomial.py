@@ -2,12 +2,11 @@
 
 Coefficients are ``fractions.Fraction`` values, so every result is exact and
 every emitted rational is automatically in lowest terms with a positive
-denominator.  ``UniPoly`` is deliberately coefficient-agnostic: any value
-type supporting ring arithmetic (``+``, ``-``, ``*``, ``bool``,
-``int * value``) can serve as a coefficient of the ring operations
-(division also needs ``/``), which is how a pencil member becomes one
-polynomial in ``x`` with coefficients in ``Q[lam]``: its subresultants
-(:func:`subresultant`) are then polynomials in ``lam``.
+denominator.  A coefficient is read as a rational (a ``Fraction``, an
+``int`` or a literal string) or is itself a ``UniPoly``, an element of
+``Q[lam]``; any other type is refused.  The second kind is how a pencil
+member becomes one polynomial in ``x`` with coefficients in ``Q[lam]``: its
+subresultants (:func:`subresultant`) are then polynomials in ``lam``.
 
 The repeated part :func:`repeated_part`, the monic ``gcd(p, p')``, runs in
 ``Z[x]``: denominators are cleared once and the gcd is a primitive polynomial
@@ -50,14 +49,14 @@ class LiteralError(ValueError):
 
 
 def _coerce(value):
-    """Read ints and literal strings as Fractions; pass exotic coefficient types through."""
+    """Read ints and literal strings as Fractions, pass Fractions and UniPolys, refuse the rest."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         return rational_from_literal(value)
-    if isinstance(value, float):
-        raise TypeError("floating-point coefficients are not exact; use Fraction")
-    return value
+    if isinstance(value, UniPoly):
+        return value
+    raise TypeError(f"{type(value).__name__} coefficients are not exact rationals; use Fraction")
 
 
 @dataclass(frozen=True)
@@ -447,9 +446,21 @@ def subresultant(p: UniPoly, q: UniPoly, k: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _rational_text(value) -> str:
+    """``str`` of an int or Fraction, also past the interpreter's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        from decimal import Decimal  # Decimal(int) is exact and writes every digit
+
+        value = Fraction(value)
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
 def unipoly_to_literal(p: UniPoly):
     """Ascending list of coefficient strings, e.g. ``["0", "-1/2", "1"]``."""
-    return [str(c) for c in p.coefficients]
+    return [_rational_text(c) for c in p.coefficients]
 
 
 # the whole grammar of a string token; ``int`` and ``Fraction`` alone would also

@@ -36,8 +36,7 @@ FIBRE_CLASS = _closed({
 # A fibre sits at one rational parameter or at the roots of one minimal
 # polynomial, so a record names exactly one of the two: ``required`` leaves
 # both out and ``oneOf`` asks for one.  No class is Smooth: a record sits at a
-# root r of Disc, so d1 >= 1 (at a rational r the member has full degree and
-# Disc(r) = disc(f_r) = 0; along an orbit ``orbit_signature`` starts at k = 1).
+# root of Disc, so d1 >= 1 (``orbit_signature`` starts at k = 1 on every orbit).
 _FIBRE_RECORD = {
     **_closed({"param": _STR, "minpoly": _POLY, "conjugates": {"type": "integer", "minimum": 1},
                "nodes": _NAT,

@@ -8,6 +8,7 @@ on the command line exits 2, and an integer flag's rejection is the reader's
 own message.
 """
 
+import contextlib
 import importlib.util
 import json
 import pathlib
@@ -190,3 +191,58 @@ def test_more_digits_than_the_interpreter_converts_exits_2(capsys, tmp_path):
                  ["classify", "--genus", "2", "--f", number],
                  ["classify", "--file", str(path)]):
         assert_rejected(run(capsys, argv))
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this interpreter converts integers of any length")
+
+
+@contextlib.contextmanager
+def digit_limit(digits):
+    """``sys.set_int_max_str_digits(digits)`` for the block (0 lifts the limit)."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@needs_digit_limit
+def test_an_exact_answer_past_the_digit_limit_prints(capsys):
+    nines = int("9" * 3000)
+    code, out, _ = run(capsys, ["systems", "--surface", "P1xP1", "--query", "h0",
+                                "--a", str(nines), "--b", str(nines)])
+    assert code == 0 and out.count("\n") == 1
+    with digit_limit(0):
+        assert json.loads(out)["result"] == (nines + 1) ** 2
+    code, out, _ = run(capsys, ["invariants", "hurwitz", "--genus", "9" * 4300])
+    assert code == 0
+    with digit_limit(0):
+        assert json.loads(out) == {"bound": 84 * (int("9" * 4300) - 1)}
+
+
+@needs_digit_limit
+def test_a_minimal_polynomial_past_the_digit_limit_prints(capsys):
+    a, b = "7" + "3" * 699, "5" + "1" * 699
+    code, out, _ = run(capsys, ["pencil", "--genus", "2",
+                                "--f0", json.dumps(["-1", b, "0", "0", "0", a, "1"]),
+                                "--f1", json.dumps(["0", "-1", "0", a, "0", "0", "1"])])
+    assert code == 0
+    with digit_limit(0):
+        payload = json.loads(out)
+    jsonschema.validate(payload, schemas.PENCIL_RUN)
+    coefficients = [c for record in payload["summary"]["fibres"] for c in record.get("minpoly", [])]
+    assert max(map(len, coefficients)) > 4300
+
+
+@needs_digit_limit
+def test_the_cli_restores_the_digit_limit(capsys):
+    # the least limit the interpreter takes; the bound for this genus has two digits more
+    least = sys.int_info.str_digits_check_threshold
+    with digit_limit(least):
+        for argv, expected in ((["invariants", "hurwitz", "--genus", "9" * least], 0),
+                               (["invariants", "hurwitz", "--genus", "0"], 1),
+                               (["classify", "--genus", "2", "--f", "[1.5]"], 2)):
+            assert run(capsys, argv)[0] == expected
+            assert sys.get_int_max_str_digits() == least

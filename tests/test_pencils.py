@@ -34,6 +34,7 @@ from conftest import (
     fraction_gcd,
     fraction_squarefree_decomposition,
     number_field_signature,
+    yun_signature,
 )
 
 # the pencil between x^6 - 1 and x^6 - x: small, with one rational singular
@@ -44,8 +45,9 @@ DEMO = Pencil(2, unipoly_from_literal(["-1", 0, 0, 0, 0, 0, 1]),
 
 def planted_pencil(g, t, lam_star, seed=5, smooth_seed=6) -> Pencil:
     """Pencil whose member at the rational parameter lam_star is the seeded
-    t-nodal model (monic endpoints, so no degree drop anywhere)."""
-    nodal = construct_nodal(g, t, seed).f
+    t-nodal model, the split one for t = g + 1 (monic endpoints, so no degree
+    drop anywhere)."""
+    nodal = (construct_split(g, seed) if t == g + 1 else construct_nodal(g, t, seed)).f
     smooth = construct_nodal(g, 0, smooth_seed).f
     lam_star = Fraction(lam_star)
     # (1 - lam*) f0 + lam* f1 = nodal with f1 = smooth
@@ -179,13 +181,25 @@ class TestSingularFibres:
         assert at_one[0].nodes_per_fibre == 3  # g + 1 crossings are nodes
 
     def test_rational_records_agree_with_classify(self):
-        for lam_star, t in ((0, 1), (2, 2), (-1, 1)):
-            pencil = planted_pencil(2, t, lam_star)
+        # a rational parameter r is the orbit of lam - r; the gcd chain over Q
+        # on the member at r, the route it replaced, is the oracle
+        cases = [(planted_pencil(g, t, lam_star), Fraction(lam_star))
+                 for g in (2, 3, 4) for t in range(1, g + 2)
+                 for lam_star in (0, 2, -1, Fraction(1, 3))]
+        cases += [(TestWorseThanNodeFibres.build(f0), Fraction(0))
+                  for f0 in (TestWorseThanNodeFibres.TRIPLE_ROOT,
+                             TestWorseThanNodeFibres.NODE_BESIDE_CUSP)]
+        cases.append((DEMO, Fraction(6)))  # the base point
+        for pencil, planted in cases:
             records = total_space_euler(pencil).singular_fibres
-            rec = next(r for r in records if r.parameter == Fraction(lam_star))
-            oracle = classify(HyperellipticModel(2, pencil.fibre_at(lam_star)))
-            assert rec.fibre_class == oracle.kind
-            assert rec.nodes_per_fibre == oracle.t
+            rationals = [r for r in records if isinstance(r.parameter, Fraction)]
+            assert planted in [r.parameter for r in rationals]
+            for rec in rationals:
+                fibre = pencil.fibre_at(rec.parameter)
+                oracle = classify(HyperellipticModel(pencil.g, fibre))
+                assert (rec.fibre_class, rec.nodes_per_fibre) == (oracle.kind, oracle.t)
+                lam_minus_r = UniPoly((-rec.parameter, 1))
+                assert orbit_signature(pencil.member(), lam_minus_r) == yun_signature(fibre)
 
     def test_records_are_ordered_and_coprime(self):
         records = total_space_euler(DEMO).singular_fibres
@@ -357,13 +371,17 @@ class TestStrictBound:
 
 
 class TestWorseThanNodeFibres:
-    def build(self, triple_root_f0):
+    TRIPLE_ROOT = UniPoly.from_roots([0]) ** 3 * UniPoly.from_roots([1, 2, 3])
+    NODE_BESIDE_CUSP = (UniPoly.from_roots([5]) ** 2 * UniPoly.from_roots([0]) ** 3
+                        * UniPoly.from_roots([1]))
+
+    @staticmethod
+    def build(triple_root_f0):
         smooth = construct_nodal(2, 0, 77).f
         return Pencil(2, triple_root_f0, smooth)
 
     def test_triple_root_member_flags_total_as_lower_bound(self):
-        f0 = UniPoly.from_roots([0]) ** 3 * UniPoly.from_roots([1, 2, 3])
-        summary = total_space_euler(self.build(f0))
+        summary = total_space_euler(self.build(self.TRIPLE_ROOT))
         worst = next(r for r in summary.singular_fibres if r.parameter == Fraction(0))
         assert worst.fibre_class == FibreKind.NON_NODAL
         assert worst.nodes_per_fibre == 0  # cusp-like point certifies nothing
@@ -371,8 +389,7 @@ class TestWorseThanNodeFibres:
         assert summary.e_total >= summary.bound
 
     def test_node_beside_cusp_keeps_certified_count(self):
-        f0 = UniPoly.from_roots([5]) ** 2 * UniPoly.from_roots([0]) ** 3 * UniPoly.from_roots([1])
-        summary = total_space_euler(self.build(f0))
+        summary = total_space_euler(self.build(self.NODE_BESIDE_CUSP))
         worst = next(r for r in summary.singular_fibres if r.parameter == Fraction(0))
         assert worst.fibre_class == FibreKind.NON_NODAL
         assert worst.nodes_per_fibre == 1  # the double root at 5 is still a node

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,13 @@ class TestUniPolyBasics:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             UniPoly((0.5,))
+
+    def test_coefficients_not_read_exactly_rejected(self):
+        for value in (1j, Decimal("0.1")):
+            with pytest.raises(TypeError, match=type(value).__name__):
+                UniPoly((value, 1))
+        # a coefficient in Q[lam]
+        assert UniPoly((UniPoly((1, 1)), UniPoly.one())).degree == 1
 
     def test_divmod_roundtrip(self, rng):
         for _ in range(50):
