@@ -30,6 +30,7 @@ from .factorization import galois_orbits
 from .polynomial import (
     UniPoly,
     _coerce,
+    _rational_text,
     integer_from_literal,
     repeated_part,
     unipoly_from_literal,
@@ -145,7 +146,7 @@ def seeded_rationals(seed: int, count: int):
     values in that range raises ``ValueError`` before anything is drawn.
     """
     if count > _STREAM_VALUES:
-        raise ValueError(f"{count} distinct seeded rationals requested; "
+        raise ValueError(f"{_rational_text(count)} distinct seeded rationals requested; "
                          f"the stream has only {_STREAM_VALUES}")
     state = seed & _MASK
     out = []

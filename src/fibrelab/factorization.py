@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from .polynomial import UniPoly, _integer_primitive, _monic_fraction
 
-# Census-style split inputs set the gate, not speed on irreducible input (the certificate
-# wins there from degree 18 on): the u1 = gcd(f, f') of a constructed curve is a product of
-# rational linear factors, so the certificate fails on it, and a failed try costs more than
-# sympy's whole factorization.  Move the gate only after re-measuring both kinds of input.
+# What the gate keeps off, measured on a Xeon core under Python 3.11 (benchmarks/workloads.py,
+# seed 1): the discriminants of g = 2, 3 pencils (degree 10 and 14), where a generic one is
+# certified in 1-15 ms against sympy's 1-11 ms and a planted one, whose certificate fails,
+# costs 3-14 ms on top of sympy's 2-8 ms; and the g = 4, 5 ladder rungs (degree 18 and 22),
+# where the certificate took 9 and 23 ms against sympy's 29 and 18 ms.  A curve's
+# u1 = gcd(f, f') has degree at most g + 1, 13 in the census, and never reaches the gate.
+# Move it only after re-measuring that traffic.
 _CERTIFY_FROM_DEGREE = 24
 _CERTIFY_PRIMES = 12  # good primes below 200 tried before the certificate gives up
 

@@ -136,7 +136,7 @@ def noether_complete(inv: SurfaceInvariants) -> SurfaceInvariants:
     if chi is None and None not in (K2, e):
         total = K2 + e
         if total % 12:
-            raise ValueError(f"non-integral completion: chi = {total}/12")
+            raise ValueError(f"non-integral completion: chi = {_rational_text(total)}/12")
         chi = total // 12
     if chi is None and None not in (q, p_g):
         chi = 1 - q + p_g
@@ -247,6 +247,11 @@ def xiao_validate(inv: SurfaceInvariants, case: XiaoCase | str) -> GeographyRepo
     return GeographyReport(tuple(checks))
 
 
+# the columns of a CSV scan row, in order; every column but the flags is an integer
+_CSV_COLUMNS = ("chi", "epsilon", "k2_min", "k2_max", "flags")
+CSV_HEADER = ",".join(_CSV_COLUMNS)
+
+
 @dataclass(frozen=True)
 class ScanRow:
     """One admissible (chi, epsilon) tuple with its realizable K2 window."""
@@ -260,16 +265,11 @@ class ScanRow:
     flags: Tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "chi": self.chi, "epsilon": self.epsilon, "q": self.q, "p_g": self.p_g,
-            "k2_min": self.k2_min, "k2_max": self.k2_max, "flags": list(self.flags),
-        }
+        return {**asdict(self), "flags": list(self.flags)}
 
     def csv_row(self) -> str:
-        return f"{self.chi},{self.epsilon},{self.k2_min},{self.k2_max},{';'.join(self.flags)}"
-
-
-CSV_HEADER = "chi,epsilon,k2_min,k2_max,flags"
+        numbers = [_rational_text(getattr(self, c)) for c in _CSV_COLUMNS[:-1]]
+        return ",".join(numbers + [";".join(self.flags)])
 
 
 def xiao_admissible_scan(g2: int, chi_max: int) -> Iterator[ScanRow]:
@@ -295,26 +295,20 @@ def xiao_admissible_scan(g2: int, chi_max: int) -> Iterator[ScanRow]:
 
 
 def _scan_row(g2: int, chi: int, eps: int) -> Optional[ScanRow]:
-    flags = []
-    q = g2
-    p_g = chi - 1 + q
-    if p_g < 0 or eps > p_g + 1:
-        # generic stratum impossible; the forced-q stratum exists only at
-        # the top value eps = chi - g2 + 1
-        if eps != chi - g2 + 1:
-            return None
-        q = g2 + 1
+    # the generic stratum q = g2, or where it is impossible and eps takes its
+    # top value chi - g2 + 1, the forced stratum q = g2 + 1
+    for q in range(g2, g2 + 1 + (eps == chi - g2 + 1)):
         p_g = chi - 1 + q
-        if p_g < 0 or eps > p_g + 1:
-            return None
-        flags.append("q=g2+1")
-    if eps == 0:
-        flags.append("eps0")
+        if p_g >= 0 and eps <= p_g + 1:
+            break
+    else:
+        return None
+    flags = ("q=g2+1",) * (q > g2) + ("eps0",) * (eps == 0)
     lower, upper = _xiao_k2_window_ii(chi, q, p_g, g2, eps)
     upper = min(upper, 8 * chi)
     if lower > upper:
         return None
-    return ScanRow(chi, eps, q, p_g, lower, upper, tuple(flags))
+    return ScanRow(chi, eps, q, p_g, lower, upper, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .polynomial import (
     UniPoly,
     _coerce,
     _rational_text,
+    discriminant,
     integer_from_literal,
     subresultant,
     unipoly_from_literal,
@@ -163,27 +164,15 @@ class FibrationSummary:
 
 
 def pencil_discriminant(pencil: Pencil) -> UniPoly:
-    """``Disc_x(f_lam)`` as an exact polynomial in lam.
+    """``Disc_x(f_lam)`` in Q[lam]: :func:`fibrelab.polynomial.discriminant` of the member.
 
-    Computed as the subresultant ``S_0(f_lam, d f_lam / dx)`` over Q[lam]
-    (:func:`fibrelab.polynomial.subresultant`: one remainder chain per
-    integer node, then interpolation), with the discriminant sign and the
-    division by the leading coefficient matching
-    :func:`fibrelab.polynomial.discriminant`, so evaluating the result at a
-    rational lam agrees with the scalar discriminant whenever the fibre
-    keeps full degree.  Identically zero means every member is
-    singular (e.g. f0 and f1 share a square factor) and raises.
+    Identically zero means every member is singular (e.g. f0 and f1 share a
+    square factor) and raises.
     """
-    f = pencil.member()
-    res = subresultant(f, f.derivative(), 0)[0]
-    n = 2 * pencil.g + 2
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    quot, rem = divmod(sign * res, f.leading_coefficient)
-    if not rem.is_zero:
-        raise ValueError("resultant not divisible by the leading coefficient")
-    if quot.is_zero:
+    disc = discriminant(pencil.member())
+    if disc.is_zero:
         raise ValueError(EVERYWHERE_SINGULAR)
-    return quot
+    return disc
 
 
 def _reduced_gcd(p: UniPoly, q: UniPoly, m: UniPoly, start: int):

@@ -6,7 +6,7 @@ denominator.  A coefficient is read as a rational (a ``Fraction``, an
 ``int`` or a literal string) or is itself a ``UniPoly``, an element of
 ``Q[lam]``; any other type is refused.  The second kind is how a pencil
 member becomes one polynomial in ``x`` with coefficients in ``Q[lam]``: its
-subresultants (:func:`subresultant`) are then polynomials in ``lam``.
+subresultants, resultants and discriminant are then polynomials in ``lam``.
 
 The repeated part :func:`repeated_part`, the monic ``gcd(p, p')``, runs in
 ``Z[x]``: denominators are cleared once and the gcd is a primitive polynomial
@@ -290,33 +290,43 @@ def repeated_part(p: UniPoly) -> UniPoly:
     return _monic_fraction(_int_gcd(p, _int_derivative(p)))
 
 
-def resultant(p: UniPoly, q: UniPoly) -> Fraction:
+def resultant(p: UniPoly, q: UniPoly):
     """Resultant of ``p`` and ``q``; see the module docstring for orientation.
 
     Zero iff ``p`` and ``q`` share a root over the complex numbers (both
     nonzero); antisymmetric up to the sign ``(-1)^(deg p * deg q)``.  It is
-    the subresultant ``S_0``; a constant ``q`` leaves only its diagonal
-    block, ``lc(q)^deg p``.
+    the subresultant ``S_0``, in the coefficient ring: a UniPoly in ``lam``
+    when a coefficient of ``p`` or ``q`` is one, a Fraction otherwise.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("resultant undefined for two zero polynomials")
+    over_lam = any(isinstance(c, UniPoly) for c in p.coefficients + q.coefficients)
+    one = UniPoly.one() if over_lam else Fraction(1)
     if p.is_zero or q.is_zero:
-        return Fraction(0)
+        return 0 * one
     if p.degree < q.degree:
         return (-1) ** (p.degree * q.degree) * resultant(q, p)
-    if q.degree == 0:
-        return q.coefficients[0] ** p.degree
+    if not p.degree:  # two constants: the empty Sylvester matrix
+        return one
     s0 = subresultant(p, q, 0)[0]
-    return s0.coefficients[0] if s0 else Fraction(0)
+    return s0 if over_lam else s0(Fraction(0))
 
 
-def discriminant(p: UniPoly) -> Fraction:
-    """Discriminant; zero iff ``p`` has a repeated root.  Degree >= 1 required."""
+def discriminant(p: UniPoly):
+    """Discriminant, in ``p``'s coefficient ring; zero iff ``p`` has a repeated root.
+
+    Degree >= 1 required.  Over Q[lam] the division by ``lc(p)`` is exact or raises.
+    """
     n = p.degree
     if n < 1:
         raise ValueError("discriminant requires degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.leading_coefficient
+    res, lead = sign * resultant(p, p.derivative()), p.leading_coefficient
+    # a rational lc is a unit of Q and of Q[lam]
+    quot, rem = divmod(res, lead) if isinstance(lead, UniPoly) else (res / lead, 0)
+    if rem:
+        raise ValueError("resultant not divisible by the leading coefficient")
+    return quot
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,42 @@ def test_a_minimal_polynomial_past_the_digit_limit_prints(capsys):
     assert max(map(len, coefficients)) > 4300
 
 
+NINES = "9" * 4300
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv, words", [
+    (["construct", "--genus", NINES], lambda n: f"{2 * n + 2} distinct seeded rationals"),
+    (["construct", "--genus", NINES, "--kind", "split"],
+     lambda n: f"{n + 1} distinct seeded rationals"),
+    (["invariants", "noether-complete", "--k2", NINES, "--e", "2"],
+     lambda n: f"non-integral completion: chi = {n + 2}/12"),
+], ids=["construct-nodal", "construct-split", "noether-complete"])
+def test_a_domain_error_prints_its_own_number_past_the_digit_limit(capsys, argv, words):
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and out.count("\n") == 1
+    error = json.loads(out)
+    jsonschema.validate(error, schemas.ERROR)
+    with digit_limit(0):
+        assert error["error"].startswith(words(int(NINES)))
+
+
+@needs_digit_limit
+def test_a_csv_scan_past_the_digit_limit_prints_its_rows(capsys):
+    # the CLI's CSV rows against its JSON rows, and the script's CSV against the CLI's
+    flags = ["--g2", NINES, "--chi-max", NINES]
+    code, csv, _ = run(capsys, ["xiao-scan", *flags, "--format", "csv"])
+    assert code == 0
+    code, out, _ = run(capsys, ["xiao-scan", *flags])
+    assert code == 0
+    with digit_limit(0):
+        rows = json.loads(out)["rows"]
+        expected = [f"{r['chi']},{r['epsilon']},{r['k2_min']},{r['k2_max']},{';'.join(r['flags'])}"
+                    for r in rows]
+    assert rows and csv.split("\n") == ["chi,epsilon,k2_min,k2_max,flags", *expected, ""]
+    assert run(capsys, flags, SCRIPT_MAINS["geography_scan"])[:2] == (None, csv)
+
+
 @needs_digit_limit
 def test_the_cli_restores_the_digit_limit(capsys):
     # the least limit the interpreter takes; the bound for this genus has two digits more

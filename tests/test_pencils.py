@@ -27,7 +27,13 @@ from fibrelab.pencils import (
     seeded_pencil,
     total_space_euler,
 )
-from fibrelab.polynomial import UniPoly, discriminant, repeated_part, unipoly_from_literal
+from fibrelab.polynomial import (
+    UniPoly,
+    discriminant,
+    repeated_part,
+    resultant,
+    unipoly_from_literal,
+)
 
 from conftest import (
     compose,
@@ -121,6 +127,7 @@ class TestPencilDiscriminant:
         pencil = Pencil(2, f0, f1)
         assert pencil.fibre_at(2).degree == 5
         disc = pencil_discriminant(pencil)
+        assert discriminant(pencil.member()) == disc
         for lam in (Fraction(1, 3), Fraction(-2, 5), Fraction(1), Fraction(3)):
             assert disc(lam) == discriminant(pencil.fibre_at(lam))
         summary = total_space_euler(pencil)
@@ -138,6 +145,23 @@ class TestPencilDiscriminant:
                 "-2866246486198476225240725138/546371314456654922688727903",
                 "1"], "conjugates": 8, "nodes": 1, "class": "IrreducibleNodal"},
         ]
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_is_the_discriminant_of_the_member(self, g):
+        for pencil in (seeded_pencil(g, 0), seeded_pencil(g, 1)):
+            disc = discriminant(pencil.member())
+            assert isinstance(disc, UniPoly) and disc == pencil_discriminant(pencil)
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 6])
+    def test_is_a_constant_times_the_wronskian_resultant(self, g):
+        # f_lam = f0 + lam h shares a root with f_lam' exactly where x is a root
+        # of W = f0' h - f0 h', so Res_x(W, f_lam) = c Disc_x(f_lam), c != 0
+        pencil = seeded_pencil(g, 2)
+        h = pencil.f1 - pencil.f0
+        wronskian = pencil.f0.derivative() * h - pencil.f0 * h.derivative()
+        res, disc = resultant(wronskian, pencil.member()), pencil_discriminant(pencil)
+        c = res.leading_coefficient / disc.leading_coefficient
+        assert c and res == disc * c
 
     def test_shared_square_factor_is_everywhere_singular(self):
         sq = UniPoly.from_roots([1]) ** 2

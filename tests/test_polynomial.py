@@ -255,6 +255,57 @@ class TestResultant:
             assert sympy.Rational(got.numerator, got.denominator) == expected
 
 
+class TestResultantOverQLam:
+    """``resultant`` and ``discriminant`` answer in ``Q[lam]`` when a coefficient lives there."""
+
+    @staticmethod
+    def random_pair_part(rng, degree, over_lam):
+        # a polynomial in x of the given degree, its coefficients in Q[lam] or in Q
+        coeffs = [lam_poly(rng, rng.randint(0, 2)) if over_lam else
+                  Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(degree)]
+        lead = UniPoly((rng.randint(-3, 3), rng.choice([-2, -1, 1, 3]))) if over_lam else \
+            Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3))
+        return UniPoly(tuple(coeffs) + (lead,))
+
+    @staticmethod
+    def at(p, lam0):
+        return UniPoly(tuple(c(lam0) if isinstance(c, UniPoly) else c for c in p.coefficients))
+
+    def test_commutes_with_evaluation_at_integers(self, rng):
+        # in some pairs one factor has rational coefficients only; degrees
+        # run over both orders, constants included
+        cases = 0
+        for _ in range(80):
+            rational = rng.choice([None, 0, 1])
+            p, q = (self.random_pair_part(rng, rng.randint(0, 4), i != rational) for i in (0, 1))
+            res = resultant(p, q)
+            assert isinstance(res, UniPoly)
+            for lam0 in range(-3, 4):
+                ps, qs = self.at(p, lam0), self.at(q, lam0)
+                if ps.degree == p.degree and qs.degree == q.degree:
+                    assert res(Fraction(lam0)) == resultant(ps, qs), (p, q, lam0)
+                    cases += 1
+        assert cases >= 400
+
+    def test_discriminant_commutes_with_evaluation_at_integers(self, rng):
+        for _ in range(30):
+            p = self.random_pair_part(rng, rng.randint(1, 5), True)
+            disc = discriminant(p)
+            for lam0 in range(-3, 4):
+                special = self.at(p, lam0)
+                if special.degree == p.degree:
+                    assert disc(Fraction(lam0)) == discriminant(special)
+
+    def test_zero_and_constant_arguments_answer_in_the_ring(self):
+        lam = UniPoly((UniPoly((0, 1)),))  # lam, a constant in x
+        assert resultant(UniPoly.zero(), UniPoly((1, UniPoly((0, 1))))) == UniPoly.zero()
+        assert resultant(lam, UniPoly((5,))) == UniPoly.one()
+        assert resultant(lam, X**2 + ONE) == UniPoly((0, 0, 1))
+        for got in (resultant(X**2, UniPoly((3,))), resultant(UniPoly((2,)), UniPoly((3,))),
+                    discriminant(X**2 - ONE), discriminant(lin(4))):
+            assert isinstance(got, Fraction)
+
+
 class TestGaussianDetOracle:
     """The test oracle for scalar determinants, checked on its own."""
 
