@@ -7,12 +7,14 @@ full inequality validator; a failure would indicate an internal
 inconsistency, and the script then exits with status 1.  ``--plot``
 sketches the admissible K2 region per chi on stderr.  Integer flags follow
 the fibrelab integer grammar; a domain error, such as a negative base genus,
-is one line on stderr and exit status 1.
+is one line on stderr and exit status 1.  A reader that stops early, as
+``head`` does, ends the scan silently with status 141 (128 + SIGPIPE).
 
     python scripts/geography_scan.py --g2 0 --chi-max 8 --validate --plot
 """
 
 import argparse
+import os
 import sys
 from collections import defaultdict
 
@@ -71,4 +73,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early: end as a filter killed by SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

@@ -2,7 +2,8 @@
 
 Machine-readable output only on stdout (JSON, or CSV for scans); notes and
 warnings on stderr.  Exit codes: 0 success, 1 domain error (reported as
-``{"error": ...}``), 2 malformed input.  Identical invocations produce
+``{"error": ...}``), 2 malformed input, and 141 (128 + SIGPIPE), with nothing
+on stderr, when the reader of stdout stops early.  Identical invocations produce
 byte-identical output.  Argparse picks the handler; :func:`main` writes its payload.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import curves, geography, linear_systems, pencils
@@ -278,16 +280,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.handler(args)
-    except LiteralError as exc:
-        _emit({"error": str(exc)})
-        return 2
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return 1
-    if payload is not None:
-        _emit(payload)
-    return 0
+        try:
+            payload, code = args.handler(args), 0
+        except LiteralError as exc:
+            payload, code = {"error": str(exc)}, 2
+        except ValueError as exc:
+            payload, code = {"error": str(exc)}, 1
+        if payload is not None:
+            _emit(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early: end as a filter killed by SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

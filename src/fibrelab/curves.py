@@ -198,8 +198,11 @@ def construct_split(g: int, seed: int) -> HyperellipticModel:
 
 
 def classify_signature(g: int, d1: int, d2: int, d3: int) -> FibreClass:
-    """Fibre class of ``y^2 = f``, ``deg f = 2g + 2``, from its gcd-degree signature.
+    """Fibre class of ``y^2 = f`` from the gcd-degree signature of ``f`` as a binary form.
 
+    ``f`` is read as a binary form of degree ``2g + 2``, so a root at
+    ``x = oo`` counts like any other (:func:`fibrelab.pencils.orbit_signature`
+    adds it); when ``deg f = 2g + 2`` there is none, and
     ``d1 = deg u1``, ``d2 = deg u2``, ``d3 = deg u3`` for ``u1 = gcd(f, f')``,
     ``u2 = gcd(u1, u1')``, ``u3 = gcd(u2, u2')``.  Gcd degrees are stable
     under base change to C, so the signature may be computed over Q or over

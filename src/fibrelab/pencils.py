@@ -14,8 +14,11 @@ factor m of the discriminant, a rational root r the orbit of ``m = lam - r``,
 and every orbit is classified by subresultant certificates over Q[lam]/(m):
 the gcd degrees of the fibre are the least k for which m does not divide a
 principal subresultant coefficient psc_k.  The member is reduced mod m first,
-which for ``lam - r`` is evaluation at r.  Every subresultant comes from one
-subresultant remainder chain per integer node of lam, interpolated
+which for ``lam - r`` is evaluation at r, and read as a binary form of degree
+2g+2 in x: a member that loses ``mu`` degrees mod m has a root of
+multiplicity ``mu`` at ``x = oo``, which adds ``(mu-1, mu-2, mu-3)``, each
+clipped at 0, to the signature of its affine part.  Every subresultant comes
+from one subresultant remainder chain per integer node of lam, interpolated
 (:func:`fibrelab.polynomial.subresultant`); a member reduced mod a linear m
 has constant coefficients and needs one node.
 
@@ -39,7 +42,6 @@ from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 from .curves import (
-    DEGREE_DROP,
     FibreKind,
     HyperellipticModel,
     classify_signature,
@@ -192,29 +194,32 @@ def _reduced_gcd(p: UniPoly, q: UniPoly, m: UniPoly, start: int):
 
 
 def orbit_signature(f: UniPoly, m: UniPoly):
-    """Gcd-degree signature ``(d1, d2, d3)`` of ``f`` over ``Q[lam]/(m)``.
+    """Gcd-degree signature ``(d1, d2, d3)`` of the binary form ``f`` of degree ``deg f``.
 
     ``f`` is a polynomial in x with coefficients in ``Q[lam]``; ``m`` is an
     irreducible factor of ``Disc_x(f)``, so one root of ``m`` is one fibre of
-    the orbit (of a linear ``m = lam - r``, the rational parameter ``r``).
-    ``f`` is reduced mod ``m`` first and refused if that drops its degree.
-    ``d1`` is the least ``k >= 1`` with ``psc_k(f, f')`` nonzero mod ``m``
-    (``psc_0`` is ``+-lc(f) Disc(f)``).  When ``d1 >= 2`` the subresultant
-    ``u1 = S_d1(f, f')``, reduced mod ``m``, is a unit multiple of
-    ``gcd(f, f')`` over ``Q[lam]/(m)``, and the same test on ``(u1, u1')``
-    gives ``d2``, then on ``(u2, u2')`` gives ``d3``.  Reducing before each
-    round keeps the coefficients of ``u`` below degree ``deg m`` in lam.
+    the orbit (of a linear ``m = lam - r``, the rational parameter ``r``), and
+    the signature is taken over ``Q[lam]/(m)``.  ``f`` is reduced mod ``m``
+    first, to ``u``.  ``mu = deg f - deg u`` is the multiplicity of ``x = oo``
+    as a root, and as gcd degrees add over roots, it adds ``(mu-1, mu-2,
+    mu-3)``, each clipped at 0, to the signature of ``u``.  There ``d1`` is the
+    least ``k`` with ``psc_k(u, u')`` nonzero mod ``m``, searched from ``k = 1``
+    when ``mu = 0`` (``psc_0`` is then ``+-lc(f) Disc(f)``) and from ``k = 0``
+    when ``mu > 0``, where ``m`` need not divide ``psc_0``.  When ``d1 >= 2``
+    the subresultant ``u1 = S_d1(u, u')``, reduced mod ``m``, is a unit
+    multiple of ``gcd(u, u')`` over ``Q[lam]/(m)``, and the same test on
+    ``(u1, u1')`` gives ``d2``, then on ``(u2, u2')`` gives ``d3``; a ``u`` of
+    degree below 2 ends the rounds.  Reducing before each round keeps the
+    coefficients of ``u`` below degree ``deg m`` in lam.
     """
     u = UniPoly(tuple(c % m for c in f.coefficients))
-    if u.degree < f.degree:
-        where = (f"along factor {unipoly_to_literal(m)}" if m.degree > 1 else
-                 f"at parameter {_rational_text(-m.coefficients[0] / m.leading_coefficient)}")
-        raise ValueError(f"{DEGREE_DROP} {where}")
-    signature = [0, 0, 0]
-    for i, start in enumerate((1, 0, 0)):
-        signature[i], u = _reduced_gcd(u, u.derivative(), m, start)
-        if signature[i] < 2:  # a linear u is coprime to the constant u'
+    mu = f.degree - u.degree
+    signature = [max(mu - j, 0) for j in (1, 2, 3)]
+    for i, start in enumerate((0 if mu else 1, 0, 0)):
+        if u.degree < 2:  # a linear u is coprime to the constant u'
             break
+        d, u = _reduced_gcd(u, u.derivative(), m, start)
+        signature[i] += d
     return tuple(signature)
 
 

@@ -36,7 +36,10 @@ FIBRE_CLASS = _closed({
 # A fibre sits at one rational parameter or at the roots of one minimal
 # polynomial, so a record names exactly one of the two: ``required`` leaves
 # both out and ``oneOf`` asks for one.  No class is Smooth: a record sits at a
-# root of Disc, so d1 >= 1 (``orbit_signature`` starts at k = 1 on every orbit).
+# root of Disc, so d1 >= 1.  A member that keeps its degree n there has a
+# repeated affine root.  One that loses mu degrees has a multiple root at x = oo
+# when mu >= 2; when mu = 1, Disc_n(f) = +-a_(n-1)^2 Disc_(n-1)(f) puts the
+# root in the discriminant of the affine part.
 _FIBRE_RECORD = {
     **_closed({"param": _STR, "minpoly": _POLY, "conjugates": {"type": "integer", "minimum": 1},
                "nodes": _NAT,

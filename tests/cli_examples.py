@@ -17,6 +17,10 @@ EXAMPLES = [
      "FIBRE_CLASS", "json"),
     ("pencil_demo", ["pencil", "--genus", "2", "--f0", DEMO_F0, "--f1", DEMO_F1],
      "PENCIL_RUN", "json"),
+    ("pencil_node_at_infinity",  # the member at lam = -1 has degree 4: a node at x = oo
+     ["pencil", "--genus", "2", "--f0", '["0","-144","324","-260","95","-16","1"]',
+      "--f1", '["-30","-349","607","-531","189","-32","2"]'],
+     "PENCIL_RUN", "json"),
     ("systems_severi", ["systems", "--surface", "P1xP1", "--query", "severi",
                         "--a", "2", "--b", "3", "--nodes", "0"],
      "SYSTEMS", "json"),

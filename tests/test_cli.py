@@ -411,9 +411,6 @@ def test_nodal_construct_without_nodes_is_smooth(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["construct", "--genus", "1"], "construction requires g >= 2"),
-    (["pencil", "--genus", "2", "--f0", '["0","-144","324","-260","95","-16","1"]',
-      "--f1", '["-30","-349","607","-531","189","-32","2"]'],
-     "degenerate model: degree drop at parameter -1"),
 ])
 def test_domain_errors_exit_1(argv, message):
     proc = run_cli(argv)

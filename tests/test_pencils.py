@@ -1,5 +1,4 @@
 import json
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -65,6 +64,15 @@ def pulled_back_member(pencil: Pencil) -> UniPoly:
     """f_lam along lam = mu^2, coefficients in Q[mu]."""
     mu_squared = UniPoly((0, 0, 1))
     return UniPoly(tuple(compose(c, mu_squared) for c in pencil.member().coefficients))
+
+
+def chart_image(f: UniPoly, n: int, c) -> UniPoly:
+    """``x^n f(c + 1/x)``: the binary form ``f`` of degree ``n`` moved by ``x -> c + 1/x``."""
+    line = UniPoly((1, c))  # 1 + c x
+    image = UniPoly.zero()
+    for k, a in enumerate(f.coefficients):
+        image = image + line ** k * UniPoly((0,) * (n - k) + (a,))
+    return image
 
 
 SQRT2 = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))  # mu^2 - 2
@@ -170,13 +178,16 @@ class TestPencilDiscriminant:
         with pytest.raises(ValueError, match=EVERYWHERE_SINGULAR):
             pencil_discriminant(Pencil(2, f0, f1))
 
-    def test_member_dropping_degree_at_a_rational_parameter_raises(self):
-        # lc(f_lam) = 1 + lam vanishes at lam = -1, a root of the discriminant
+    def test_member_dropping_degree_at_a_rational_parameter_has_a_node_at_infinity(self):
+        # lc(f_lam) = 1 + lam vanishes at lam = -1, a root of the discriminant: the
+        # member there is (x+1)(x+2)(x+3)(x+5), a sextic form with a double root at x = oo
         pencil = Pencil(2, unipoly_from_literal(["0", "-144", "324", "-260", "95", "-16", "1"]),
                         unipoly_from_literal(["-30", "-349", "607", "-531", "189", "-32", "2"]))
-        assert pencil.fibre_at(-1).degree < 6
-        with pytest.raises(ValueError, match=r"^degenerate model: degree drop at parameter -1$"):
-            total_space_euler(pencil)
+        assert pencil.fibre_at(-1) == UniPoly.from_roots([-1, -2, -3, -5])
+        at_minus_one, orbit = total_space_euler(pencil).singular_fibres
+        assert at_minus_one == SingularFibreRecord(Fraction(-1), 1, 1, FibreKind.IRREDUCIBLE_NODAL)
+        assert (orbit.conjugate_count, orbit.nodes_per_fibre, orbit.fibre_class) == (
+            9, 1, FibreKind.IRREDUCIBLE_NODAL)
 
     def test_planted_root_at_zero(self):
         pencil = planted_pencil(2, 1, 0)
@@ -248,6 +259,53 @@ class TestSingularFibres:
         signature = number_field_signature(DEMO.member(), orbit.parameter)
         assert signature == orbit_signature(DEMO.member(), orbit.parameter)
         assert signature[0] == orbit.nodes_per_fibre
+
+
+class TestRootAtInfinity:
+    """A member that loses ``mu`` degrees mod m has a root of multiplicity ``mu`` at x = oo.
+
+    Each pencil has ``f1 = 2 f0 - q``, so its member at ``lam = -1`` is ``q``,
+    of degree below 2g+2.  The chart change ``x -> c + 1/x`` moves that root
+    to ``x = c`` and leaves ``lam`` alone, so the image pencil has the same
+    records, and none of its singular members loses degree.
+    """
+
+    F0_ROOTS = {2: [0, 1, 2, 3, 4, 6], 3: [0, 1, 2, 3, 4, 6, 8, 9]}
+    # (g, roots of q, (nodes, class) at lam = -1 or None when that member is smooth)
+    CASES = [
+        (2, [-1, -2, -3, -5], (1, FibreKind.IRREDUCIBLE_NODAL)),
+        (2, [-1, -2, -3, -5, -7], None),
+        (2, [-1, -2, -3], (0, FibreKind.NON_NODAL)),
+        (2, [-1, -1, -3, -5], (2, FibreKind.IRREDUCIBLE_NODAL)),
+        (2, [-1, -1, -3, -3], (3, FibreKind.SPLIT_NODAL)),
+        (2, [-1, -2], (0, FibreKind.NON_NODAL)),
+        (3, [-1, -2, -3, -5, -7, -11], (1, FibreKind.IRREDUCIBLE_NODAL)),
+        (3, [-1, -2, -2, -5, -7], (1, FibreKind.NON_NODAL)),
+    ]
+
+    @classmethod
+    def pencil(cls, g, q_roots) -> Pencil:
+        f0 = UniPoly.from_roots(cls.F0_ROOTS[g])
+        return Pencil(g, f0, f0 * 2 - UniPoly.from_roots(q_roots))
+
+    def test_record_at_minus_one(self):
+        for g, q_roots, expected in self.CASES:
+            pencil = self.pencil(g, q_roots)
+            assert pencil.fibre_at(-1) == UniPoly.from_roots(q_roots)
+            records = total_space_euler(pencil).singular_fibres
+            at = [(r.nodes_per_fibre, r.fibre_class) for r in records if r.parameter == -1]
+            assert at == ([expected] if expected else []), q_roots
+
+    @pytest.mark.parametrize("c", [Fraction(-10), Fraction(7), Fraction(1, 3)], ids=str)
+    def test_records_match_the_chart_image(self, c):
+        for g, q_roots, _ in self.CASES:
+            pencil = self.pencil(g, q_roots)
+            n = 2 * g + 2
+            image = Pencil(g, chart_image(pencil.f0, n, c), chart_image(pencil.f1, n, c))
+            lc = image.member().leading_coefficient
+            for m, _mult in irreducible_factors(pencil_discriminant(image)):
+                assert lc % m, (q_roots, m)  # the image's answer is the affine route's
+            assert total_space_euler(image) == total_space_euler(pencil), q_roots
 
 
 class TestOrbitOracle:
@@ -471,11 +529,16 @@ class TestOrbitClassifierBranches:
         assert fc.kind == FibreKind.NON_NODAL
         assert fc.t == 0
 
-    def test_leading_coefficient_divisible_by_m_rejected(self):
-        f = self.X_MINUS_MU ** 2 * self.lift(1, 2, 3, 4) * UniPoly((SQRT2,))
-        message = "degree drop along factor ['-2', '0', '1']"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            orbit_signature(f, SQRT2)
+    def test_leading_coefficient_divisible_by_m_counts_the_root_at_infinity(self):
+        # a member that loses mu degrees mod m has a root of multiplicity mu at x = oo;
+        # the oracle sees the affine part alone
+        zero = UniPoly.zero()
+        simple_root = self.X_MINUS_MU ** 2 * self.lift(1, 2, 3) + UniPoly((zero,) * 6 + (SQRT2,))
+        assert number_field_signature(simple_root, SQRT2) == (1, 0, 0)
+        assert orbit_signature(simple_root, SQRT2) == (1, 0, 0)  # the node at mu
+        double_root = self.X_MINUS_MU ** 2 * self.lift(1, 2) + UniPoly((zero,) * 5 + (SQRT2, SQRT2))
+        assert number_field_signature(double_root, SQRT2) == (1, 0, 0)
+        assert orbit_signature(double_root, SQRT2) == (2, 0, 0)  # nodes at oo and at mu
 
 
 def test_negative_node_count_rejected_under_optimisation():

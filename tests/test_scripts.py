@@ -16,10 +16,14 @@ SCRIPTS = TESTS.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
 
-def run_python(*argv):
+def python_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+    return env
+
+
+def run_python(*argv):
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=python_env())
 
 
 def run_script(name, *argv):
@@ -57,6 +61,21 @@ def test_a_domain_error_is_one_stderr_line_and_exit_1(name, argv, message):
     assert proc.returncode == 1
     assert proc.stdout == b""  # checked before any output
     assert proc.stderr.decode() == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["-m", "fibrelab", "xiao-scan", "--g2", "0", "--chi-max", "2000", "--format", "csv"],
+    [str(SCRIPTS / "geography_scan.py"), "--g2", "0", "--chi-max", "2000"],
+], ids=["xiao-scan", "geography_scan.py"])
+def test_a_reader_that_stops_early_ends_the_scan_with_status_141(argv):
+    # about 20 MB of rows, far past a pipe's buffer: the writer meets the closed pipe
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=python_env())
+    assert proc.stdout.readline() == b"chi,epsilon,k2_min,k2_max,flags\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141  # 128 + SIGPIPE, as a shell reports for `seq | head`
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("g2", [0, 1, 2])
