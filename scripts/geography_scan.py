@@ -14,11 +14,10 @@ is one line on stderr and exit status 1.  A reader that stops early, as
 """
 
 import argparse
-import os
 import sys
 from collections import defaultdict
 
-from fibrelab.cli import integer_argument
+from fibrelab.cli import integer_argument, stdout_filter
 from fibrelab.geography import (
     CSV_HEADER,
     SurfaceInvariants,
@@ -73,9 +72,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader stopped early: end as a filter killed by SIGPIPE does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(141)
+    sys.exit(stdout_filter(main))

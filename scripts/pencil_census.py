@@ -10,14 +10,15 @@ The base is P^1, so every row re-checks e_total = e(A) e(D) + sum of node
 contributions and the lower bound 4 - 4g = e(A) e(P^1); a failing row names
 its seed and exits with status 1, also under python -O.  Integer flags follow
 the fibrelab integer grammar; a domain error, such as a genus below 2, is one
-line on stderr and exit status 1.
+line on stderr and exit status 1.  A reader that stops early, as ``head``
+does, ends the census silently with status 141 (128 + SIGPIPE).
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
-from fibrelab.cli import integer_argument
+from fibrelab.cli import integer_argument, stdout_filter
 from fibrelab.pencils import seeded_pencil, total_space_euler
 
 
@@ -48,4 +49,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(stdout_filter(main))

@@ -277,9 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def stdout_filter(run) -> int | None:
+    """``run()``'s exit status once stdout is flushed, or 141 (128 + SIGPIPE), with
+    nothing on stderr, when the reader of stdout stops early, as ``head`` does."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # end as a filter killed by SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+
+    def run() -> int:
         try:
             payload, code = args.handler(args), 0
         except LiteralError as exc:
@@ -288,11 +301,9 @@ def main(argv=None) -> int:
             payload, code = {"error": str(exc)}, 1
         if payload is not None:
             _emit(payload)
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader stopped early: end as a filter killed by SIGPIPE does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    return code
+        return code
+
+    return stdout_filter(run)
 
 
 if __name__ == "__main__":

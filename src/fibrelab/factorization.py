@@ -1,63 +1,265 @@
-"""Irreducible factorization over Q, delegated to sympy.
+"""Irreducible factorization over Q: rational roots peeled p-adically, the
+cofactor certified modulo small primes, sympy only for what stays unproved.
 
 Everything else in the package is factorization-free; the two places that
 genuinely need irreducible factors (minimal polynomials of conjugate
 singular points, and the moduli for per-fibre node counting at algebraic
 pencil parameters) read them through :func:`galois_orbits`, which names and
-orders the roots of a polynomial one Galois orbit at a time.  It hands sympy's
-dense ``Z[x]`` layer the primitive integer multiple of the input, which has
-the same monic factors.  Factors come back monic and in a deterministic order.
+orders the roots of a polynomial one Galois orbit at a time.
 
-A generic pencil's discriminant is irreducible of degree 4g+2, where
-sympy's Zassenhaus spends its time Hensel-lifting modular factors that
-never recombine; from degree 24 on, a degree-set certificate
-(:func:`_certified_irreducible`) is tried before sympy.
+:func:`irreducible_factors` works on the primitive integer multiple ``D`` of
+its input, which has the same monic factors, in three stages:
+
+1. **Peel** (:func:`_peel_rational_roots`, after Loos, SIAM J. Comput. 12,
+   1983).  Zero roots go first.  Each root ``r`` of ``D`` modulo the first
+   good prime ``p >= 101`` is Newton-lifted as a simple root of the first
+   derivative ``D^(k)`` in which it is simple, far enough that ``lc(D)`` times
+   a rational root is read off as a symmetric residue; the candidate ``a/b``
+   is kept only if ``b x - a`` divides ``D`` exactly, as often as it does.
+2. **Certify** (:func:`_certified_irreducible`, Musser, JACM 25, 1978).  A
+   pure-Python kernel over ``F_p`` splits the cofactor by distinct degrees
+   modulo good primes from 101 up; when no proper factor degree survives,
+   the cofactor is irreducible.
+3. **Fall back.**  Only a cofactor that the certificate leaves unproved goes
+   to sympy's dense ``Z[x]`` factorizer, which is imported there and nowhere
+   else in the package.
+
+The peel is sound because of the exact division; it is complete together
+with the certificate, because a rational root it misses leaves degree 1 a
+possible factor degree, so the certificate fails and sympy factors the
+cofactor.  Factorization over Q is unique, so the route changes no answer.
+Factors come back monic and in a deterministic order.
 """
 
 from __future__ import annotations
 
-from .polynomial import UniPoly, _integer_primitive, _monic_fraction
+from itertools import islice
+from math import gcd, isqrt
 
-# What the gate keeps off, measured on a Xeon core under Python 3.11 (benchmarks/workloads.py,
-# seed 1): the discriminants of g = 2, 3 pencils (degree 10 and 14), where a generic one is
-# certified in 1-15 ms against sympy's 1-11 ms and a planted one, whose certificate fails,
-# costs 3-14 ms on top of sympy's 2-8 ms; and the g = 4, 5 ladder rungs (degree 18 and 22),
-# where the certificate took 9 and 23 ms against sympy's 29 and 18 ms.  A curve's
-# u1 = gcd(f, f') has degree at most g + 1, 13 in the census, and never reaches the gate.
-# Move it only after re-measuring that traffic.
-_CERTIFY_FROM_DEGREE = 24
-_CERTIFY_PRIMES = 12  # good primes below 200 tried before the certificate gives up
+from .polynomial import UniPoly, _int_derivative, _integer_primitive, _monic_fraction
+
+_CERTIFY_PRIMES = 12  # good primes tried before the certificate gives up
 
 
-def _certified_irreducible(p: UniPoly) -> bool:
-    """True when reductions modulo small primes prove ``p`` irreducible over Q.
+def _good_primes(lead: int):
+    """The primes from 101 up that do not divide ``lead``.
+
+    Smaller primes are skipped: one that divides a difference of two roots of
+    a pencil member makes them collide, and the discriminants of the pencils
+    in benchmarks/workloads.py were not squarefree modulo any prime below
+    about 90.
+    """
+    p = 101
+    while True:
+        if lead % p and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+# ---------------------------------------------------------------------------
+# stage 1: rational roots
+# ---------------------------------------------------------------------------
+
+
+def _horner_mod(coeffs, x: int, m: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % m
+    return value
+
+
+def _divide_linear(f, a: int, b: int):
+    """``f / (b x - a)`` for an integer list ``f``, or None unless the division is exact."""
+    quot = [0] * (len(f) - 1)
+    carry = 0  # the coefficient of the quotient one degree up
+    for i in range(len(f) - 1, 0, -1):
+        q, r = divmod(f[i] + a * carry, b)
+        if r:
+            return None
+        quot[i - 1] = carry = q
+    return quot if f[0] == -a * carry else None
+
+
+def _peel_rational_roots(f):
+    """Split a primitive integer list ``f`` into its rational linear factors and the rest.
+
+    Returns ``(linear, cofactor)``: ``linear`` holds ``([-a, b], multiplicity)``
+    for each root ``a/b`` found, ``cofactor`` is ``f`` divided by all of them.
+    A root is missed when another root is congruent to it modulo the prime,
+    or when the first derivative that does not vanish at it takes a value
+    there divisible by the prime; it then stays in the cofactor, which the
+    certificate can never prove irreducible.
+    """
+    linear = []
+    zeros = next(i for i, c in enumerate(f) if c)
+    if zeros:
+        linear.append(([0, 1], zeros))
+        f = f[zeros:]
+    if len(f) < 2:
+        return linear, f
+    p = next(_good_primes(f[-1]))
+    fp = [c % p for c in f]
+    for r in [r for r in range(p) if not _horner_mod(fp, r, p)]:
+        if len(f) < 2 or _horner_mod(f, r, p):
+            continue  # an earlier division took the root
+        # a root of multiplicity k + 1 is a simple root of the k-th derivative
+        g, dg = f, _int_derivative(f)
+        while dg and not _horner_mod(dg, r, p):
+            g, dg = dg, _int_derivative(dg)
+        if not dg:
+            continue  # p <= deg f, and every derivative vanishes at r mod p
+        # Newton lift until lc * root, at most lc * |f(0)| for a rational root, is determined
+        lead, modulus = f[-1], p
+        while modulus <= 2 * lead * abs(f[0]):
+            modulus *= modulus
+            step = _horner_mod(g, r, modulus) * pow(_horner_mod(dg, r, modulus), -1, modulus)
+            r = (r - step) % modulus
+        z = lead * r % modulus
+        if z > modulus // 2:
+            z -= modulus
+        common = gcd(z, lead)
+        a, b = z // common, lead // common
+        mult = 0
+        while len(f) > 1 and (quot := _divide_linear(f, a, b)) is not None:
+            f, mult = quot, mult + 1
+        if mult:
+            linear.append(([-a, b], mult))
+    return linear, f
+
+
+# ---------------------------------------------------------------------------
+# stage 2: the degree-set certificate, on lists of ints mod p
+# ---------------------------------------------------------------------------
+
+
+def _fp_strip(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_divmod(a, b, p: int):
+    """Quotient and remainder of ``a`` by a monic ``b`` over ``F_p``."""
+    r = list(a)
+    n = len(b) - 1
+    quot = [0] * max(len(a) - n, 0)
+    for shift in range(len(a) - 1 - n, -1, -1):
+        c = r.pop() % p
+        quot[shift] = c
+        if c:
+            r[shift:] = [x - c * y for x, y in zip(r[shift:], b)]
+    return quot, _fp_strip([x % p for x in r])
+
+
+def _fp_monic(a, p: int):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_gcd(a, b, p: int):
+    """Monic gcd over ``F_p`` of ``a`` and ``b``, not both zero, by Euclid."""
+    a, b = _fp_strip([c % p for c in a]), _fp_strip([c % p for c in b])
+    while b:
+        b = _fp_monic(b, p)
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return _fp_monic(a, p)
+
+
+def _fp_mul(a, b):
+    """The product of ``a`` and ``b``, coefficients not reduced."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            prod[i:i + len(b)] = [x + c * y for x, y in zip(prod[i:i + len(b)], b)]
+    return prod
+
+
+def _frobenius_rows(f, p: int):
+    """``x^(p j) mod f`` over ``F_p`` for ``j = 0 .. deg f - 1``; ``f`` monic, deg >= 2."""
+
+    def mulmod(a, b):
+        return _fp_divmod(_fp_mul(a, b), f, p)[1]
+
+    xp = [1]
+    for bit in bin(p)[2:]:  # x^p by squaring
+        xp = mulmod(xp, xp)
+        if bit == "1":
+            xp = [0] + xp  # times x, reduced by the next product
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(mulmod(rows[-1], xp))
+    return rows
+
+
+def _distinct_degrees(f, p: int):
+    """``[(d, count), ...]``: the number of irreducible factors of each degree ``d``
+    of a monic squarefree ``f`` over ``F_p``, ascending in ``d``.
+
+    ``h = x^(p^d) mod f`` is one matrix-vector step from ``x^(p^(d-1))``,
+    since ``(sum h_j x^j)^p = sum h_j x^(p j)`` over ``F_p``, and the factors
+    of degree ``d`` multiply to ``gcd(g, h - x)`` once those of lower degree
+    are divided out of ``g``.
+    """
+    n = len(f) - 1
+    if n < 2:
+        return [(n, 1)]
+    rows = _frobenius_rows(f, p)
+    out, g, h, d = [], f, [0, 1], 0
+    while len(g) - 1 >= 2 * (d + 1):
+        d += 1
+        acc = [0] * n
+        for c, row in zip(h, rows):
+            if c:
+                acc[:len(row)] = [x + c * y for x, y in zip(acc, row)]
+        h = [c % p for c in acc]
+        factor = _fp_gcd(g, [h[0], h[1] - 1] + h[2:], p)
+        if len(factor) > 1:
+            out.append((d, (len(factor) - 1) // d))
+            g = _fp_divmod(g, factor, p)[0]
+    if len(g) > 1:
+        out.append((len(g) - 1, 1))
+    return out
+
+
+def _certified_irreducible(f) -> bool:
+    """True when reductions modulo small primes prove the primitive integer list ``f`` irreducible.
 
     Modulo a prime dividing neither the leading coefficient nor the
-    discriminant of ``p``'s primitive integer multiple, a factor of degree
-    ``d`` over Q reduces to a product of distinct irreducible factors, so
-    ``d`` is a sum of some of their degrees, which the distinct-degree
-    factorization gives.  When no ``0 < d < deg p`` is such a sum for every
-    prime tried, ``p`` is irreducible (Musser, JACM 25, 1978).  False means
-    only "not certified".
+    discriminant of ``f``, a factor of degree ``d`` over Q reduces to a
+    product of distinct irreducible factors, so ``d`` is a sum of some of
+    their degrees, which :func:`_distinct_degrees` gives.  When no
+    ``0 < d < deg f`` is such a sum for every prime tried, ``f`` is
+    irreducible (Musser, JACM 25, 1978).  False means only "not certified".
     """
-    from sympy import primerange
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_from_int_poly, gf_monic, gf_sqf_p
-
-    f = _integer_primitive(p)[::-1]
-    possible, tried = set(range(1, p.degree)), 0
-    for prime in primerange(3, 200):
-        fp = gf_from_int_poly(f, prime)
-        if len(fp) < len(f) or not gf_sqf_p(fp, prime, ZZ):
-            continue
-        sums = {0}
-        for factor, d in gf_ddf_zassenhaus(gf_monic(fp, prime, ZZ)[1], prime, ZZ):
-            sums = {s + d * i for s in sums for i in range((len(factor) - 1) // d + 1)}
-        possible &= sums
-        tried += 1
-        if not possible or tried == _CERTIFY_PRIMES:
+    possible = set(range(1, len(f) - 1))
+    for p in islice(_good_primes(f[-1]), _CERTIFY_PRIMES):
+        if not possible:
             break
+        fp = _fp_monic(f, p)
+        if len(_fp_gcd(fp, _int_derivative(fp), p)) > 1:
+            continue  # p divides the discriminant
+        sums = {0}
+        for d, count in _distinct_degrees(fp, p):
+            sums = {s + d * i for s in sums for i in range(count + 1)}
+        possible &= sums
     return not possible
+
+
+# ---------------------------------------------------------------------------
+# stage 3 and the public entry points
+# ---------------------------------------------------------------------------
+
+
+def _sympy_factors(f):
+    """Irreducible factors of the primitive integer list ``f`` by sympy, as integer lists."""
+    # deferred: sympy dominates interpreter start-up, and only a cofactor the
+    # certificate cannot prove irreducible needs it
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list(f[::-1], ZZ)
+    # int(): with gmpy2 installed, sympy's ZZ elements are mpz, not int
+    return [([int(c) for c in reversed(g)], mult) for g, mult in factors]
 
 
 def irreducible_factors(p: UniPoly):
@@ -71,16 +273,10 @@ def irreducible_factors(p: UniPoly):
         raise ValueError("zero polynomial has no factorization")
     if p.degree == 0:
         return []
-    if p.degree >= _CERTIFY_FROM_DEGREE and _certified_irreducible(p):
-        return [(p.monic(), 1)]
-    # deferred: sympy dominates interpreter start-up, and most entry points
-    # (classification over Q, linear systems, geography) never factor
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
-
-    _, factors = dup_factor_list(_integer_primitive(p)[::-1], ZZ)
-    # int(): with gmpy2 installed, sympy's ZZ elements are mpz, not int
-    out = [(_monic_fraction([int(c) for c in reversed(f)]), mult) for f, mult in factors]
+    factors, rest = _peel_rational_roots(_integer_primitive(p))
+    if len(rest) > 1:
+        factors += [(rest, 1)] if _certified_irreducible(rest) else _sympy_factors(rest)
+    out = [(_monic_fraction(f), mult) for f, mult in factors]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coefficients))
     return out
 

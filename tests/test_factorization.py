@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
 
 from fibrelab import factorization
 from fibrelab.curves import construct_nodal, construct_split
 from fibrelab.factorization import (
-    _CERTIFY_FROM_DEGREE,
     _certified_irreducible,
+    _distinct_degrees,
+    _good_primes,
     galois_orbits,
     irreducible_factors,
 )
 from fibrelab.pencils import Pencil, pencil_discriminant, seeded_pencil
-from fibrelab.polynomial import UniPoly
+from fibrelab.polynomial import UniPoly, _integer_primitive, repeated_part
 
 
 def sympy_factors(p: UniPoly):
@@ -30,23 +33,39 @@ def sympy_factors(p: UniPoly):
     return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coefficients))
 
 
+def certified(p: UniPoly) -> bool:
+    return _certified_irreducible(_integer_primitive(p))
+
+
+@pytest.fixture
+def no_sympy(monkeypatch):
+    """Fail the test if ``irreducible_factors`` hands a cofactor to sympy."""
+    def fail(f):
+        raise AssertionError(f"sympy asked to factor the cofactor {f}")
+
+    monkeypatch.setattr(factorization, "_sympy_factors", fail)
+
+
 def dense(rng, degree, height=9, max_den=1, leading=None) -> UniPoly:
     coeffs = [Fraction(rng.randint(-height, height), rng.randint(1, max_den))
               for _ in range(degree)]
     return UniPoly(tuple(coeffs) + (Fraction(leading or rng.choice([-3, -1, 1, 2, 5])),))
 
 
+def from_sympy(expr) -> UniPoly:
+    x = sympy.Symbol("x")
+    return UniPoly(tuple(Fraction(int(c)) for c in reversed(sympy.Poly(expr, x).all_coeffs())))
+
+
 class TestCertificate:
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_polynomials_are_certified_and_match_sympy(self, seed):
-        # seed 1 and 4 carry a leading coefficient divisible by 3, 5 and 7,
-        # whose reductions the certificate has to skip
+        # seed 1 and 4 carry a leading coefficient divisible by 3, 5 and 7
         rng = random.Random(f"certificate:{seed}")
-        p = dense(rng, _CERTIFY_FROM_DEGREE + seed, max_den=7,
-                  leading=105 if seed % 3 == 1 else None)
+        p = dense(rng, 24 + seed, max_den=7, leading=105 if seed % 3 == 1 else None)
         expected = sympy_factors(p)
         assert expected == [(p.monic(), 1)]
-        assert _certified_irreducible(p)
+        assert certified(p)
         assert irreducible_factors(p) == expected
 
     @pytest.mark.parametrize("degrees", [(12, 13), (1, 24), (5, 20), (8, 8, 9)])
@@ -55,7 +74,7 @@ class TestCertificate:
         p = UniPoly.one()
         for d in degrees:
             p = p * dense(rng, d)
-        assert not _certified_irreducible(p)
+        assert not certified(p)
         assert irreducible_factors(p) == sympy_factors(p)
 
     def test_equal_degree_modular_factors_are_all_counted(self):
@@ -63,38 +82,38 @@ class TestCertificate:
         # factors of one degree each, so only a sum over several factors of
         # one degree reaches the true factor degree 12
         x = sympy.Symbol("x")
-        product = sympy.cyclotomic_poly(13, x) * sympy.cyclotomic_poly(26, x)
-        p = UniPoly(tuple(Fraction(int(c)) for c in reversed(sympy.Poly(product, x).all_coeffs())))
+        p = from_sympy(sympy.cyclotomic_poly(13, x) * sympy.cyclotomic_poly(26, x))
         assert p.degree == 24
-        assert not _certified_irreducible(p)
+        assert not certified(p)
         assert irreducible_factors(p) == sympy_factors(p)
 
     def test_primes_dividing_the_leading_coefficient_are_skipped(self):
-        # modulo 3 the product reduces to the constant 2
-        g = UniPoly((1,) + (0,) * 11 + (3,))  # 3x^12 + 1
+        # 101 * 103 * x^12 + 1 and its successor: modulo 101 or 103 both reduce to constants
+        g = UniPoly((1,) + (0,) * 11 + (101 * 103,))
         p = g * (g + UniPoly((1,)))
-        assert not _certified_irreducible(p)
+        assert not certified(p)
         assert irreducible_factors(p) == sympy_factors(p)
 
     def test_a_square_is_never_certified(self):
         q = dense(random.Random("square"), 13, max_den=3)
         p = q * q
-        assert not _certified_irreducible(p)
+        assert not certified(p)
         assert irreducible_factors(p) == sympy_factors(p) == [(q.monic(), 2)]
 
-    def test_pencil_discriminant_is_certified(self):
+    def test_pencil_discriminant_is_certified(self, no_sympy):
         disc = pencil_discriminant(seeded_pencil(6, 0))
         assert disc.degree == 26
-        assert _certified_irreducible(disc)
+        assert certified(disc)
         assert irreducible_factors(disc) == sympy_factors(disc) == [(disc.monic(), 1)]
 
     @pytest.mark.parametrize("t", [1, 2, "split"])
-    def test_planted_discriminants_fall_back_to_sympy(self, t):
-        # the member at lam = 0 is singular, so lam divides Disc
+    def test_planted_discriminants_are_peeled_then_certified(self, t, no_sympy):
+        # the member at lam = 0 is singular, so lam divides Disc; the peel
+        # takes it, and the certificate proves the cofactor irreducible
         member = construct_split(6, 5) if t == "split" else construct_nodal(6, t, 5)
         disc = pencil_discriminant(Pencil(6, member.f, construct_nodal(6, 0, 6).f))
-        assert disc.degree >= _CERTIFY_FROM_DEGREE
-        assert not _certified_irreducible(disc)
+        assert disc.degree >= 24
+        assert not certified(disc)
         factors = irreducible_factors(disc)
         assert factors == sympy_factors(disc)
         assert UniPoly((0, 1)) in [f for f, _ in factors]
@@ -102,16 +121,30 @@ class TestCertificate:
     def test_irreducible_but_split_modulo_every_prime_is_not_certified(self):
         # x^4 - 10x^2 + 1, the minimal polynomial of sqrt 2 + sqrt 3
         p = UniPoly((Fraction(1), Fraction(0), Fraction(-10), Fraction(0), Fraction(1)))
-        assert not _certified_irreducible(p)
+        assert not certified(p)
         assert irreducible_factors(p) == sympy_factors(p) == [(p, 1)]
 
-    def test_below_the_threshold_only_sympy_runs(self, monkeypatch):
-        def fail(p):
-            raise AssertionError("certificate tried below degree 24")
+    def test_every_degree_runs_the_certificate(self, no_sympy):
+        # no degree gate: a dense polynomial of degree 5 is proved without sympy
+        p = dense(random.Random("below"), 5)
+        assert irreducible_factors(p) == sympy_factors(p) == [(p.monic(), 1)]
 
-        monkeypatch.setattr(factorization, "_certified_irreducible", fail)
-        p = dense(random.Random("below"), _CERTIFY_FROM_DEGREE - 1)
-        assert irreducible_factors(p) == sympy_factors(p)
+
+class TestKernel:
+    @pytest.mark.parametrize("p", [101, 103, 211])
+    def test_degree_sets_match_sympys_distinct_degree_factorization(self, p):
+        rng = random.Random(f"kernel:{p}")
+        for n in range(1, 41):
+            while True:
+                f = [rng.randrange(p) for _ in range(n)] + [1]
+                if gf_sqf_p(f[::-1], p, ZZ):
+                    break
+            expected = [(d, (len(g) - 1) // d) for g, d in gf_ddf_zassenhaus(f[::-1], p, ZZ)]
+            assert _distinct_degrees(f, p) == expected, (p, f)
+
+    def test_good_primes_start_at_101_and_skip_divisors_of_the_leading_coefficient(self):
+        primes = _good_primes(103 * 109)
+        assert [next(primes) for _ in range(4)] == [101, 107, 113, 127]
 
 
 def linear_product(rng) -> UniPoly:
@@ -133,7 +166,7 @@ def quadratic_product(rng) -> UniPoly:
         a, b = rng.randint(1, 5), rng.randint(-5, 5)
         c = Fraction(b * b + rng.randint(1, 9), 4 * a)
         power = rng.randint(1, 3)
-        if p.degree + 2 * power < _CERTIFY_FROM_DEGREE:
+        if p.degree + 2 * power < 24:
             p = p * UniPoly((c, Fraction(b), Fraction(a))) ** power
     return p
 
@@ -143,9 +176,12 @@ def planted_discriminant(g, t, seed) -> UniPoly:
     return pencil_discriminant(Pencil(g, member.f, construct_nodal(g, 0, seed + 100).f))
 
 
+IRREDUCIBLE_CUBIC = UniPoly((-2, 0, 0, 1))  # x^3 - 2
+
+
 class TestSympyRoute:
-    """Below degree 24 the factors come from sympy's dense Z[x] factorizer; the
-    parent's Poly-over-QQ route (``sympy_factors``) is the oracle."""
+    """Differential tests: whichever stage answers, the factors equal those of
+    sympy's ``factor_list`` over QQ (``sympy_factors``), the oracle."""
 
     def test_products_of_linear_factors(self):
         rng = random.Random("linear")
@@ -157,7 +193,6 @@ class TestSympyRoute:
         rng = random.Random("quadratic")
         for _ in range(60):
             p = quadratic_product(rng)
-            assert p.degree < _CERTIFY_FROM_DEGREE
             assert irreducible_factors(p) == sympy_factors(p)
 
     @pytest.mark.parametrize("g,ts", [(2, (1, 2, "split")), (3, (1, 2, 3, "split"))],
@@ -166,10 +201,76 @@ class TestSympyRoute:
         for t in ts:
             for seed in range(10):
                 disc = planted_discriminant(g, t, seed)
-                assert 0 < disc.degree < _CERTIFY_FROM_DEGREE
+                assert disc.degree > 0
                 factors = irreducible_factors(disc)
                 assert factors == sympy_factors(disc)
                 assert UniPoly((0, 1)) in [f for f, _ in factors]
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_census_repeated_parts(self, g):
+        # u1 = gcd(f, f') of a nodal or split model is a product of rational linear factors
+        for t in range(1, g + 2):
+            model = construct_split(g, t) if t > g else construct_nodal(g, t, t)
+            u1 = repeated_part(model.f)
+            assert irreducible_factors(u1) == sympy_factors(u1)
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_census_repeated_parts_with_integer_roots_are_peeled_whole(self, g, no_sympy):
+        # distinct integer roots in [-20, 20], as the curve-census benchmark plants them,
+        # never meet modulo 101, so the peel alone splits u1
+        rng = random.Random(f"census:{g}")
+        for t in range(1, g + 2):
+            roots = rng.sample(range(-20, 21), 2 * g + 2 - t)
+            u1 = repeated_part(UniPoly.from_roots(roots[:t] + roots))
+            assert irreducible_factors(u1) == sympy_factors(u1)
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_generic_pencil_discriminants(self, g, no_sympy):
+        disc = pencil_discriminant(seeded_pencil(g, 1))
+        assert disc.degree == 4 * g + 2
+        assert irreducible_factors(disc) == sympy_factors(disc)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_symmetric_pencils(self, g):
+        # f1(x) = f0(-x): f_(1 - lam)(x) = f_lam(-x), so Disc(lam) = Disc(1 - lam)
+        f0 = seeded_pencil(g, 2).f0
+        f1 = UniPoly(tuple(c * (-1) ** k for k, c in enumerate(f0.coefficients)))
+        disc = pencil_discriminant(Pencil(g, f0, f1))
+        assert irreducible_factors(disc) == sympy_factors(disc)
+
+    def test_square_of_an_irreducible_quadratic(self):
+        q = UniPoly((1, 1, 1))
+        assert irreducible_factors(q * q * 3) == sympy_factors(q * q) == [(q, 2)]
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_zero_roots(self, k, no_sympy):
+        p = UniPoly((0,) * k + IRREDUCIBLE_CUBIC.coefficients) * Fraction(-2, 3)
+        assert irreducible_factors(p) == sympy_factors(p) == [
+            (UniPoly((0, 1)), k), (IRREDUCIBLE_CUBIC, 1)]
+
+    @pytest.mark.parametrize("mults", [(1, 2, 3), (7, 1, 4), (5, 6, 7)])
+    def test_repeated_rational_roots_with_denominators_dividing_the_leading_coefficient(
+            self, mults, no_sympy):
+        roots = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]
+        expanded = [r for r, m in zip(roots, mults) for _ in range(m)]
+        p = UniPoly.from_roots(expanded, leading=6 ** sum(mults)) * IRREDUCIBLE_CUBIC
+        assert irreducible_factors(p) == sympy_factors(p)
+
+    def test_a_root_of_height_ten_to_the_thirty(self, no_sympy):
+        root = Fraction(10 ** 30 + 7, 3)
+        p = UniPoly.from_roots([root, -1], leading=3) * UniPoly((1, 0, 1))
+        assert irreducible_factors(p) == sympy_factors(p)
+        assert galois_orbits(p)[1] == (root, 1)
+
+    @pytest.mark.parametrize("lead", [-1, Fraction(-5, 7), Fraction(3, 4)])
+    def test_negative_or_fractional_leading_coefficients(self, lead, no_sympy):
+        p = UniPoly.from_roots([Fraction(-3, 2), 4, 4], leading=lead) * IRREDUCIBLE_CUBIC
+        assert irreducible_factors(p) == sympy_factors(p)
+
+    def test_roots_congruent_modulo_the_peels_prime(self):
+        # 1 and 102 meet modulo 101: the peel finds neither, and sympy splits the cofactor
+        p = UniPoly.from_roots([1, 102, 102]) * UniPoly((1, 0, 1))
+        assert irreducible_factors(p) == sympy_factors(p)
 
     @pytest.mark.parametrize("c", [1, -1, 5, Fraction(-3, 4), Fraction(2, 7), Fraction(-9, 5)])
     def test_constants_have_no_factors(self, c):
@@ -204,10 +305,13 @@ class TestGaloisOrbits:
             galois_orbits(UniPoly.zero())
 
 
-def test_sympy_loads_on_the_first_factorization():
-    code = ("import sys; from fibrelab import cli, factorization; from fibrelab.polynomial "
-            "import UniPoly; assert 'sympy' not in sys.modules; "
+def test_sympy_loads_only_for_a_cofactor_the_certificate_cannot_prove():
+    code = ("import sys; from fibrelab import cli, factorization; from fibrelab.curves import "
+            "construct_nodal; from fibrelab.polynomial import UniPoly, repeated_part; "
             "factorization.irreducible_factors(UniPoly((-2, 0, 1))); "
+            "factorization.galois_orbits(repeated_part(construct_nodal(12, 12, 0).f)); "
+            "assert 'sympy' not in sys.modules; "
+            "factorization.irreducible_factors(UniPoly((1, 0, -10, 0, 1))); "
             "assert 'sympy' in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -63,15 +63,20 @@ def test_a_domain_error_is_one_stderr_line_and_exit_1(name, argv, message):
     assert proc.stderr.decode() == message + "\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["-m", "fibrelab", "xiao-scan", "--g2", "0", "--chi-max", "2000", "--format", "csv"],
-    [str(SCRIPTS / "geography_scan.py"), "--g2", "0", "--chi-max", "2000"],
-], ids=["xiao-scan", "geography_scan.py"])
-def test_a_reader_that_stops_early_ends_the_scan_with_status_141(argv):
-    # about 20 MB of rows, far past a pipe's buffer: the writer meets the closed pipe
+@pytest.mark.parametrize("argv,header", [
+    (["-m", "fibrelab", "xiao-scan", "--g2", "0", "--chi-max", "2000", "--format", "csv"],
+     b"chi,epsilon,k2_min,k2_max,flags\n"),
+    ([str(SCRIPTS / "geography_scan.py"), "--g2", "0", "--chi-max", "2000"],
+     b"chi,epsilon,k2_min,k2_max,flags\n"),
+    ([str(SCRIPTS / "pencil_census.py"), "--genus", "2", "--count", "1500"],
+     b"seed deg disc fibres orbits sum nodes e_total  bound strict\n"),
+], ids=["xiao-scan", "geography_scan.py", "pencil_census.py"])
+def test_a_reader_that_stops_early_ends_the_scan_with_status_141(argv, header):
+    # about 20 MB of scan rows, and 87 kB of census rows, past a pipe's 64 KiB
+    # buffer: the writer meets the closed pipe
     proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=python_env())
-    assert proc.stdout.readline() == b"chi,epsilon,k2_min,k2_max,flags\n"
+    assert proc.stdout.readline() == header
     proc.stdout.close()
     assert proc.wait(timeout=120) == 141  # 128 + SIGPIPE, as a shell reports for `seq | head`
     assert proc.stderr.read() == b""
