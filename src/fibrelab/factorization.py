@@ -17,12 +17,23 @@ its input, which has the same monic factors, in three stages:
    a rational root is read off as a symmetric residue; the candidate ``a/b``
    is kept only if ``b x - a`` divides ``D`` exactly, as often as it does.
 2. **Certify** (:func:`_certified_irreducible`, Musser, JACM 25, 1978).  A
-   pure-Python kernel over ``F_p`` splits the cofactor by distinct degrees
-   modulo good primes from 101 up; when no proper factor degree survives,
-   the cofactor is irreducible.
-3. **Fall back.**  Only a cofactor that the certificate leaves unproved goes
-   to sympy's dense ``Z[x]`` factorizer, which is imported there and nowhere
-   else in the package.
+   pure-Python kernel over ``F_p`` (:func:`_distinct_degrees`) splits the
+   cofactor by distinct degrees modulo good primes from 101 up; when no
+   proper factor degree survives, the cofactor is irreducible.  The kernel
+   packs a polynomial into one int, a 64-bit slot per coefficient, so a
+   product is one big-int multiplication (Kronecker substitution, von zur
+   Gathen and Gerhard, *Modern Computer Algebra* 8.4); it refuses degree
+   ``n`` and prime ``p`` with ``n p^2 >= 2^64``, where a slot could
+   overflow.  Per prime, one gcd with the product of the ``x^(p^d) - x``,
+   ``d <= n/2``, splits off the one factor of degree above ``n/2`` (von zur
+   Gathen and Shoup, Comput. Complexity 2, 1992).  A prime dividing the
+   discriminant is skipped; the certificate gives up after
+   ``_CERTIFY_PRIMES`` primes tried or four times as many skipped.
+3. **Fall back.**  When degree 1 survives the certificate, the cofactor is
+   peeled once more at the next good prime; when that finds a root, what
+   is left is certified afresh.  Only a cofactor that the certificate leaves unproved
+   goes to sympy's dense ``Z[x]`` factorizer, which is imported there and
+   nowhere else in the package.
 
 The peel is sound because of the exact division; it is complete together
 with the certificate, because a rational root it misses leaves degree 1 a
@@ -33,12 +44,12 @@ Factors come back monic and in a deterministic order.
 
 from __future__ import annotations
 
-from itertools import islice
+import struct
 from math import gcd, isqrt
 
 from .polynomial import UniPoly, _int_derivative, _integer_primitive, _monic_fraction
 
-_CERTIFY_PRIMES = 12  # good primes tried before the certificate gives up
+_CERTIFY_PRIMES = 16  # good primes tried before the certificate gives up
 
 
 def _good_primes(lead: int):
@@ -80,8 +91,9 @@ def _divide_linear(f, a: int, b: int):
     return quot if f[0] == -a * carry else None
 
 
-def _peel_rational_roots(f):
-    """Split a primitive integer list ``f`` into its rational linear factors and the rest.
+def _peel_rational_roots(f, p: int):
+    """Split a primitive integer list ``f`` into its rational linear factors and the rest,
+    lifting its roots modulo a prime ``p`` that does not divide ``lc(f)``.
 
     Returns ``(linear, cofactor)``: ``linear`` holds ``([-a, b], multiplicity)``
     for each root ``a/b`` found, ``cofactor`` is ``f`` divided by all of them.
@@ -97,7 +109,6 @@ def _peel_rational_roots(f):
         f = f[zeros:]
     if len(f) < 2:
         return linear, f
-    p = next(_good_primes(f[-1]))
     fp = [c % p for c in f]
     for r in [r for r in range(p) if not _horner_mod(fp, r, p)]:
         if len(f) < 2 or _horner_mod(f, r, p):
@@ -128,7 +139,7 @@ def _peel_rational_roots(f):
 
 
 # ---------------------------------------------------------------------------
-# stage 2: the degree-set certificate, on lists of ints mod p
+# stage 2: the degree-set certificate, on ints mod p, listed or packed
 # ---------------------------------------------------------------------------
 
 
@@ -165,84 +176,109 @@ def _fp_gcd(a, b, p: int):
     return _fp_monic(a, p)
 
 
-def _fp_mul(a, b):
-    """The product of ``a`` and ``b``, coefficients not reduced."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            prod[i:i + len(b)] = [x + c * y for x, y in zip(prod[i:i + len(b)], b)]
-    return prod
+def _pack(c) -> int:
+    """The residues ``c`` as one int, one 64-bit slot each, constant term lowest."""
+    return int.from_bytes(struct.pack(f"<{len(c)}Q", *c), "little")
 
 
-def _frobenius_rows(f, p: int):
-    """``x^(p j) mod f`` over ``F_p`` for ``j = 0 .. deg f - 1``; ``f`` monic, deg >= 2."""
-
-    def mulmod(a, b):
-        return _fp_divmod(_fp_mul(a, b), f, p)[1]
-
-    xp = [1]
-    for bit in bin(p)[2:]:  # x^p by squaring
-        xp = mulmod(xp, xp)
-        if bit == "1":
-            xp = [0] + xp  # times x, reduced by the next product
-    rows = [[1]]
-    for _ in range(len(f) - 2):
-        rows.append(mulmod(rows[-1], xp))
-    return rows
+def _unpack(v: int, slots: int, p: int):
+    """The lowest ``slots`` 64-bit slots of ``v``, each reduced mod ``p``."""
+    return [c % p for c in struct.unpack(f"<{slots}Q", v.to_bytes(8 * slots, "little"))]
 
 
 def _distinct_degrees(f, p: int):
     """``[(d, count), ...]``: the number of irreducible factors of each degree ``d``
     of a monic squarefree ``f`` over ``F_p``, ascending in ``d``.
 
-    ``h = x^(p^d) mod f`` is one matrix-vector step from ``x^(p^(d-1))``,
-    since ``(sum h_j x^j)^p = sum h_j x^(p j)`` over ``F_p``, and the factors
-    of degree ``d`` multiply to ``gcd(g, h - x)`` once those of lower degree
-    are divided out of ``g``.
+    Polynomials of degree below ``n = deg f`` are packed (:func:`_pack`), so a
+    product is one big-int multiplication (Kronecker substitution), reduced
+    mod ``f`` with the packed ``x^(n+i) mod f``.  ``h_d = x^(p^d) mod f`` is
+    ``sum h_j x^(p j)`` over ``F_p``, a sum of packed Frobenius rows.  The
+    factors of degree at most ``n/2`` multiply to ``G = gcd(f, P)`` with
+    ``P = prod (h_d - x)`` over ``d <= n/2``; ``f/G``, when not constant, is
+    the one factor of larger degree, and the factors of degree ``d`` multiply
+    to ``gcd(g, h_d - x)`` once those of lower degree are divided out of ``g``,
+    starting from ``g = G``.
     """
     n = len(f) - 1
+    if n * p * p >= 1 << 64:  # a slot sums at most n products of residues
+        raise OverflowError(f"64-bit slots cannot hold degree {n} products mod {p}")
     if n < 2:
         return [(n, 1)]
-    rows = _frobenius_rows(f, p)
-    out, g, h, d = [], f, [0, 1], 0
-    while len(g) - 1 >= 2 * (d + 1):
-        d += 1
-        acc = [0] * n
+    top = [-c % p for c in f[:-1]]  # x^n mod f
+    tops = [top]
+    for _ in range(n - 2):
+        t = tops[-1]
+        tops.append([(a + t[-1] * b) % p for a, b in zip([0] + t[:-1], top)])
+    tops = [_pack(t) for t in tops]
+
+    def mulmod(a, b):
+        wide = _unpack(a * b, 2 * n - 1, p)
+        acc = _pack(wide[:n])
+        for c, t in zip(wide[n:], tops):
+            if c:
+                acc += c * t
+        return _pack(_unpack(acc, n, p))
+
+    xp = 1
+    for bit in bin(p)[2:]:  # x^p by squaring; x packs to 1 << 64
+        xp = mulmod(xp, xp)
+        if bit == "1":
+            xp = mulmod(xp, 1 << 64)
+    rows = [1, xp]
+    for _ in range(n - 2):
+        rows.append(mulmod(rows[-1], xp))
+
+    hs, h, prod = [], [0, 1], 1
+    for _ in range(n // 2):
+        acc = 0
         for c, row in zip(h, rows):
             if c:
-                acc[:len(row)] = [x + c * y for x, y in zip(acc, row)]
-        h = [c % p for c in acc]
-        factor = _fp_gcd(g, [h[0], h[1] - 1] + h[2:], p)
+                acc += c * row
+        h = _unpack(acc, n, p)
+        hs.append([h[0], (h[1] - 1) % p] + h[2:])  # h_d - x
+        prod = mulmod(prod, _pack(hs[-1]))
+    g = _fp_gcd(f, _unpack(prod, n, p), p)  # prod = 0 gives g = f
+    out, large = [], n + 1 - len(g)
+    for d, hx in enumerate(hs, 1):
+        if len(g) - 1 < 2 * d:
+            break
+        factor = _fp_gcd(g, hx, p)
         if len(factor) > 1:
             out.append((d, (len(factor) - 1) // d))
             g = _fp_divmod(g, factor, p)[0]
-    if len(g) > 1:
-        out.append((len(g) - 1, 1))
+    out += [(e, 1) for e in (len(g) - 1, large) if e]
     return out
 
 
-def _certified_irreducible(f) -> bool:
-    """True when reductions modulo small primes prove the primitive integer list ``f`` irreducible.
+def _certified_irreducible(f):
+    """The degrees ``0 < d < deg f`` that reductions modulo small primes leave
+    possible for a factor of the primitive integer list ``f``; empty proves
+    ``f`` irreducible.
 
     Modulo a prime dividing neither the leading coefficient nor the
     discriminant of ``f``, a factor of degree ``d`` over Q reduces to a
     product of distinct irreducible factors, so ``d`` is a sum of some of
-    their degrees, which :func:`_distinct_degrees` gives.  When no
-    ``0 < d < deg f`` is such a sum for every prime tried, ``f`` is
-    irreducible (Musser, JACM 25, 1978).  False means only "not certified".
+    their degrees, which :func:`_distinct_degrees` gives (Musser, JACM 25,
+    1978).  A prime dividing the discriminant is skipped; the certificate
+    gives up after ``_CERTIFY_PRIMES`` primes tried or four times as many
+    skipped.
     """
     possible = set(range(1, len(f) - 1))
-    for p in islice(_good_primes(f[-1]), _CERTIFY_PRIMES):
-        if not possible:
+    tried = skipped = 0
+    for p in _good_primes(f[-1]):
+        if not possible or tried == _CERTIFY_PRIMES or skipped == 4 * _CERTIFY_PRIMES:
             break
         fp = _fp_monic(f, p)
         if len(_fp_gcd(fp, _int_derivative(fp), p)) > 1:
-            continue  # p divides the discriminant
+            skipped += 1  # p divides the discriminant
+            continue
+        tried += 1
         sums = {0}
         for d, count in _distinct_degrees(fp, p):
             sums = {s + d * i for s in sums for i in range(count + 1)}
         possible &= sums
-    return not possible
+    return possible
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +309,20 @@ def irreducible_factors(p: UniPoly):
         raise ValueError("zero polynomial has no factorization")
     if p.degree == 0:
         return []
-    factors, rest = _peel_rational_roots(_integer_primitive(p))
-    if len(rest) > 1:
-        factors += [(rest, 1)] if _certified_irreducible(rest) else _sympy_factors(rest)
+    f = _integer_primitive(p)
+    primes = _good_primes(f[-1])
+    factors, rest = _peel_rational_roots(f, next(primes))
+    possible = _certified_irreducible(rest)
+    if 1 in possible:
+        # two roots congruent modulo the first prime hide each other; the next may part them
+        linear, rest = _peel_rational_roots(rest, next(primes))
+        if linear:
+            factors += linear
+            possible = _certified_irreducible(rest)
+    if possible:
+        factors += _sympy_factors(rest)
+    elif len(rest) > 1:
+        factors.append((rest, 1))
     out = [(_monic_fraction(f), mult) for f, mult in factors]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coefficients))
     return out

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_irreducible_p, gf_mul, gf_sqf_p
 
 from fibrelab import factorization
 from fibrelab.curves import construct_nodal, construct_split
@@ -34,7 +36,7 @@ def sympy_factors(p: UniPoly):
 
 
 def certified(p: UniPoly) -> bool:
-    return _certified_irreducible(_integer_primitive(p))
+    return not _certified_irreducible(_integer_primitive(p))
 
 
 @pytest.fixture
@@ -124,23 +126,97 @@ class TestCertificate:
         assert not certified(p)
         assert irreducible_factors(p) == sympy_factors(p) == [(p, 1)]
 
+    @pytest.mark.parametrize("g", [8, 9, 10])
+    def test_seeded_pencils_with_many_skipped_primes_are_certified(self, g, no_sympy):
+        # most good primes near 101 divide a difference of two of the pencil's
+        # roots, so Disc is not squarefree modulo them; skipped primes are not
+        # counted against the budget
+        disc = pencil_discriminant(seeded_pencil(g, 0))
+        assert irreducible_factors(disc) == sympy_factors(disc) == [(disc.monic(), 1)]
+
+    @pytest.mark.parametrize("coeffs", [
+        # degree 8, after (lam - 1)^2: a linear factor modulo each of the first 13
+        # good primes, proved irreducible at the 14th, 167
+        (-33402084839265542400, 3736616332553673148800, -12053930327365659442884,
+         -40274972056475951064948, 283610690376725728008711, -630939211248609821499248,
+         699303473031464318833638, -392593761311966108220732, 89247491916883111379063),
+        # degree 10: factor degrees 2 and 8 possible through 12 primes, none at the 13th, 163
+        (63372426062400000000, -2626109657611776000000, 30031221089820182760000,
+         -284575359384894858480800, 1690678157155626476060580, -6155237513773821318414708,
+         14225862709935422290826845, -20893064042260265000839644,
+         18781941011971564687481202, -9385863766059065847947000,
+         1992919236509269725859125),
+    ], ids=["degree8", "degree10"])
+    def test_pencil_discriminant_cofactors_needing_more_than_twelve_primes(
+            self, coeffs, no_sympy):
+        p = UniPoly(coeffs)
+        assert certified(p)
+        assert irreducible_factors(p) == sympy_factors(p) == [(p.monic(), 1)]
+
+    def test_skipped_primes_do_not_count_against_the_budget(self, no_sympy):
+        # x^6 - D, Eisenstein at 101, is not squarefree modulo any of the first
+        # 16 good primes, which all divide D; the fifth prime tried, 199, proves it
+        primes = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179]
+        assert primes == list(itertools.islice(_good_primes(1), 16))
+        p = UniPoly((-math.prod(primes), 0, 0, 0, 0, 0, 1))
+        assert certified(p)
+        assert irreducible_factors(p) == sympy_factors(p) == [(p, 1)]
+
     def test_every_degree_runs_the_certificate(self, no_sympy):
         # no degree gate: a dense polynomial of degree 5 is proved without sympy
         p = dense(random.Random("below"), 5)
         assert irreducible_factors(p) == sympy_factors(p) == [(p.monic(), 1)]
 
 
+def chosen_product(rng, degrees, p):
+    """A product over ``F_p`` of distinct random monic irreducible factors of the given
+    degrees, as a list from the constant term up."""
+    factors = []
+    for d in degrees:
+        while True:
+            g = [1] + [rng.randrange(p) for _ in range(d)]  # sympy's order, leading first
+            if g not in factors and gf_irreducible_p(g, p, ZZ):
+                factors.append(g)
+                break
+    prod = [1]
+    for g in factors:
+        prod = gf_mul(prod, g, p, ZZ)
+    return prod[::-1]
+
+
 class TestKernel:
     @pytest.mark.parametrize("p", [101, 103, 211])
     def test_degree_sets_match_sympys_distinct_degree_factorization(self, p):
         rng = random.Random(f"kernel:{p}")
+        inputs = []
         for n in range(1, 41):
             while True:
                 f = [rng.randrange(p) for _ in range(n)] + [1]
                 if gf_sqf_p(f[::-1], p, ZZ):
                     break
+            inputs.append(f)
+        # all linear, so the product of the h_d - x is 0 mod f; four factors of one
+        # degree; no factor of degree above n/2; exactly one
+        for degrees in [(1,) * 12, (3,) * 4, (1, 2, 3, 4, 4), (1, 3, 12)]:
+            inputs.append(chosen_product(rng, degrees, p))
+        for f in inputs:
             expected = [(d, (len(g) - 1) // d) for g, d in gf_ddf_zassenhaus(f[::-1], p, ZZ)]
             assert _distinct_degrees(f, p) == expected, (p, f)
+
+    def test_slots_that_could_overflow_are_refused_before_any_work(self, monkeypatch):
+        # 8 products of residues mod 2^31 - 1 can exceed 2^64
+        def fail(c):
+            raise AssertionError("packed a polynomial")
+
+        monkeypatch.setattr(factorization, "_pack", fail)
+        with pytest.raises(OverflowError):
+            _distinct_degrees([3, 0, 0, 0, 0, 0, 0, 0, 1], 2 ** 31 - 1)
+
+    def test_the_largest_prime_within_the_slot_bound(self):
+        # 8 p^2 < 2^64 for this p, and not for the next prime
+        p, f = 1518500213, [5, 0, 7, 0, 0, 1, 0, 2, 1]
+        expected = [(d, (len(g) - 1) // d) for g, d in gf_ddf_zassenhaus(f[::-1], p, ZZ)]
+        assert _distinct_degrees(f, p) == expected
 
     def test_good_primes_start_at_101_and_skip_divisors_of_the_leading_coefficient(self):
         primes = _good_primes(103 * 109)
@@ -207,8 +283,10 @@ class TestSympyRoute:
                 assert UniPoly((0, 1)) in [f for f, _ in factors]
 
     @pytest.mark.parametrize("g", range(2, 13))
-    def test_census_repeated_parts(self, g):
-        # u1 = gcd(f, f') of a nodal or split model is a product of rational linear factors
+    def test_census_repeated_parts(self, g, no_sympy):
+        # u1 = gcd(f, f') of a nodal or split model is a product of rational linear factors;
+        # at g = 12 the split model has the roots 17/4 and -4/5, which meet modulo 101
+        # and are parted by the second peel, at 103
         for t in range(1, g + 2):
             model = construct_split(g, t) if t > g else construct_nodal(g, t, t)
             u1 = repeated_part(model.f)
@@ -267,8 +345,9 @@ class TestSympyRoute:
         p = UniPoly.from_roots([Fraction(-3, 2), 4, 4], leading=lead) * IRREDUCIBLE_CUBIC
         assert irreducible_factors(p) == sympy_factors(p)
 
-    def test_roots_congruent_modulo_the_peels_prime(self):
-        # 1 and 102 meet modulo 101: the peel finds neither, and sympy splits the cofactor
+    def test_roots_congruent_modulo_the_peels_prime(self, no_sympy):
+        # 1 and 102 meet modulo 101: the first peel finds neither, the certificate
+        # leaves degree 1 possible, and the second peel, at 103, finds both
         p = UniPoly.from_roots([1, 102, 102]) * UniPoly((1, 0, 1))
         assert irreducible_factors(p) == sympy_factors(p)
 
