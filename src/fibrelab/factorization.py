@@ -31,7 +31,12 @@ its input, which has the same monic factors, in three stages:
    ``_CERTIFY_PRIMES`` primes tried or four times as many skipped.
 3. **Fall back.**  When degree 1 survives the certificate, the cofactor is
    peeled once more at the next good prime; when that finds a root, what
-   is left is certified afresh.  Only a cofactor that the certificate leaves unproved
+   is left is certified afresh.  A cofactor still unproved that has a square
+   factor, such as an orbit of base points squared in a pencil discriminant,
+   is split by Musser's squarefree decomposition (:func:`_squarefree_parts`):
+   every prime divides its discriminant, so the certificate skipped them all.
+   Each part goes through all three stages, its multiplicities scaled by its
+   index.  Only a squarefree cofactor that the certificate leaves unproved
    goes to sympy's dense ``Z[x]`` factorizer, which is imported there and
    nowhere else in the package.
 
@@ -47,7 +52,13 @@ from __future__ import annotations
 import struct
 from math import gcd, isqrt
 
-from .polynomial import UniPoly, _int_derivative, _integer_primitive, _monic_fraction
+from .polynomial import (
+    UniPoly,
+    _int_derivative,
+    _int_gcd,
+    _integer_primitive,
+    _monic_fraction,
+)
 
 _CERTIFY_PRIMES = 16  # good primes tried before the certificate gives up
 
@@ -150,15 +161,21 @@ def _fp_strip(a):
 
 
 def _fp_divmod(a, b, p: int):
-    """Quotient and remainder of ``a`` by a monic ``b`` over ``F_p``."""
+    """Quotient and remainder of ``a`` by a nonzero ``b`` over ``F_p``.
+
+    Each step multiplies the top coefficient by the inverse of ``lc(b)`` and
+    reduces only that one; the remainder is reduced once, at the end.
+    """
     r = list(a)
     n = len(b) - 1
+    inv, low = pow(b[-1], -1, p), b[:-1]
     quot = [0] * max(len(a) - n, 0)
     for shift in range(len(a) - 1 - n, -1, -1):
-        c = r.pop() % p
+        c = r.pop() * inv % p
         quot[shift] = c
         if c:
-            r[shift:] = [x - c * y for x, y in zip(r[shift:], b)]
+            for i, y in enumerate(low, shift):
+                r[i] -= c * y
     return quot, _fp_strip([x % p for x in r])
 
 
@@ -171,7 +188,6 @@ def _fp_gcd(a, b, p: int):
     """Monic gcd over ``F_p`` of ``a`` and ``b``, not both zero, by Euclid."""
     a, b = _fp_strip([c % p for c in a]), _fp_strip([c % p for c in b])
     while b:
-        b = _fp_monic(b, p)
         a, b = b, _fp_divmod(a, b, p)[1]
     return _fp_monic(a, p)
 
@@ -298,6 +314,57 @@ def _sympy_factors(f):
     return [([int(c) for c in reversed(g)], mult) for g, mult in factors]
 
 
+def _int_quotient(a, b):
+    """``a / b`` for integer lists, ``b`` dividing ``a`` in ``Z[x]``."""
+    r, n = list(a), len(b) - 1
+    quot = [0] * (len(a) - n)
+    for shift in range(len(a) - 1 - n, -1, -1):
+        quot[shift] = c = r.pop() // b[-1]
+        for i, y in enumerate(b[:-1], shift):
+            r[i] -= c * y
+    return quot
+
+
+def _squarefree_parts(f, square):
+    """Musser's squarefree decomposition of the primitive integer list ``f``, given
+    ``square = gcd(f, f')``: ``[(a_i, i), ...]`` with ``f = prod a_i^i`` and each
+    ``a_i`` squarefree and not constant (Musser, PhD thesis, Wisconsin, 1971)."""
+    parts, i = [], 1
+    w = _int_quotient(f, square)  # each root of f once
+    while len(w) > 1:
+        y = _int_gcd(w, square)  # the roots of multiplicity above i
+        if len(y) < len(w):
+            parts.append((_int_quotient(w, y), i))
+        w, square, i = y, _int_quotient(square, y), i + 1
+    return parts
+
+
+def _integer_factors(f):
+    """Irreducible factors of the primitive integer list ``f``: ``[(g, multiplicity), ...]``
+    with each ``g`` a primitive integer list, unordered."""
+    primes = _good_primes(f[-1])
+    factors, rest = _peel_rational_roots(f, next(primes))
+    possible = _certified_irreducible(rest)
+    if 1 in possible:
+        # two roots congruent modulo the first prime hide each other; the next may part them
+        linear, rest = _peel_rational_roots(rest, next(primes))
+        if linear:
+            factors += linear
+            possible = _certified_irreducible(rest)
+    if possible:
+        square = _int_gcd(rest, _int_derivative(rest))
+        if len(square) > 1:
+            # every prime divides the discriminant of a cofactor with a square factor, so
+            # the certificate skipped them all; its squarefree parts are certified one by one
+            for part, i in _squarefree_parts(rest, square):
+                factors += [(g, i * mult) for g, mult in _integer_factors(part)]
+        else:
+            factors += _sympy_factors(rest)
+    elif len(rest) > 1:
+        factors.append((rest, 1))
+    return factors
+
+
 def irreducible_factors(p: UniPoly):
     """Monic irreducible factors of ``p`` with multiplicities.
 
@@ -309,21 +376,7 @@ def irreducible_factors(p: UniPoly):
         raise ValueError("zero polynomial has no factorization")
     if p.degree == 0:
         return []
-    f = _integer_primitive(p)
-    primes = _good_primes(f[-1])
-    factors, rest = _peel_rational_roots(f, next(primes))
-    possible = _certified_irreducible(rest)
-    if 1 in possible:
-        # two roots congruent modulo the first prime hide each other; the next may part them
-        linear, rest = _peel_rational_roots(rest, next(primes))
-        if linear:
-            factors += linear
-            possible = _certified_irreducible(rest)
-    if possible:
-        factors += _sympy_factors(rest)
-    elif len(rest) > 1:
-        factors.append((rest, 1))
-    out = [(_monic_fraction(f), mult) for f, mult in factors]
+    out = [(_monic_fraction(f), mult) for f, mult in _integer_factors(_integer_primitive(p))]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coefficients))
     return out
 

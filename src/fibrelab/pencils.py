@@ -10,9 +10,11 @@ and nothing printed stands for it.  Singular fibres sit over the roots of
 ``Disc_x(f_lam)``, one record per Galois orbit of roots as
 :func:`fibrelab.factorization.galois_orbits` names and orders them.  Node
 counts are exact, never numerical.  An orbit is the roots of an irreducible
-factor m of the discriminant, a rational root r the orbit of ``m = lam - r``,
-and every orbit is classified by subresultant certificates over Q[lam]/(m):
-the gcd degrees of the fibre are the least k for which m does not divide a
+factor m of the discriminant, a rational root r the orbit of ``m = lam - r``.
+The discriminant decides an orbit that is a simple root of it: that is one
+ordinary node (:func:`total_space_euler` gives the reason).  Every other
+orbit is classified by subresultant certificates over Q[lam]/(m): the gcd
+degrees of the fibre are the least k for which m does not divide a
 principal subresultant coefficient psc_k.  The member is reduced mod m first,
 which for ``lam - r`` is evaluation at r, and read as a binary form of degree
 2g+2 in x: a member that loses ``mu`` degrees mod m has a root of
@@ -242,14 +244,26 @@ def euler_summary(g: int, records: Sequence[SingularFibreRecord],
 def total_space_euler(pencil: Pencil) -> FibrationSummary:
     """One pass: the discriminant, its Galois orbits, one record per orbit.
 
-    Every orbit is classified by :func:`orbit_signature`, a rational
-    parameter ``r`` as the orbit of ``lam - r``.
+    An orbit that is a simple root of ``Disc`` is one ordinary node, and
+    every other orbit is classified by :func:`orbit_signature`, a rational
+    parameter ``r`` as the orbit of ``lam - r``.  The order of ``Disc`` at a
+    parameter is at least the sum of the Milnor numbers of its fibre (Milnor,
+    *Singular Points of Complex Hypersurfaces*, 1968):
+
+    - a root of multiplicity ``k`` adds at least ``k - 1``, its Milnor
+      number, by Puiseux; the discriminant of the binary form changes only
+      by a unit under ``x -> 1/x``, so the same bound holds for a root at
+      ``x = oo``;
+    - so order 1 forces exactly one double root.  An affine one has the
+      signature ``(1, 0, 0)``; one at ``x = oo`` (``mu = 2``) gets
+      ``(1, 0, 0)`` from :func:`orbit_signature` too.  For ``g >= 2`` both
+      are ``IrreducibleNodal`` with one node.
     """
     disc = pencil_discriminant(pencil)
     f = pencil.member()
     records = []
-    for location, _mult in galois_orbits(disc):
+    for location, mult in galois_orbits(disc):
         m = UniPoly((-location, 1)) if isinstance(location, Fraction) else location
-        fc = classify_signature(pencil.g, *orbit_signature(f, m))
+        fc = classify_signature(pencil.g, *((1, 0, 0) if mult == 1 else orbit_signature(f, m)))
         records.append(SingularFibreRecord(location, m.degree, fc.t, fc.kind))
     return euler_summary(pencil.g, records, disc.degree)

@@ -4,9 +4,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from fibrelab.pencils import Pencil
 from fibrelab.polynomial import UniPoly
 
 X = sympy.Symbol("x")
+
+# members sharing the irreducible x^2 - 2: a conjugate pair of base points, whose
+# orbit of parameters the discriminant carries squared
+QUADRATIC_BASE_POINTS = Pencil(2, UniPoly((-2, 0, 1)) * UniPoly.from_roots([1, 3, 4, 7]),
+                               UniPoly((-2, 0, 1)) * UniPoly.from_roots([0, 2, 5, -6]))
 
 
 def random_unipoly(rng: random.Random, max_degree: int, coeff_bound: int = 9) -> UniPoly:

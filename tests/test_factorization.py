@@ -8,19 +8,30 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_irreducible_p, gf_mul, gf_sqf_p
+from sympy.polys.galoistools import (
+    gf_ddf_zassenhaus,
+    gf_div,
+    gf_gcd,
+    gf_irreducible_p,
+    gf_mul,
+    gf_sqf_p,
+)
 
 from fibrelab import factorization
 from fibrelab.curves import construct_nodal, construct_split
 from fibrelab.factorization import (
     _certified_irreducible,
     _distinct_degrees,
+    _fp_divmod,
+    _fp_gcd,
     _good_primes,
     galois_orbits,
     irreducible_factors,
 )
 from fibrelab.pencils import Pencil, pencil_discriminant, seeded_pencil
 from fibrelab.polynomial import UniPoly, _integer_primitive, repeated_part
+
+from conftest import QUADRATIC_BASE_POINTS
 
 
 def sympy_factors(p: UniPoly):
@@ -203,6 +214,25 @@ class TestKernel:
             expected = [(d, (len(g) - 1) // d) for g, d in gf_ddf_zassenhaus(f[::-1], p, ZZ)]
             assert _distinct_degrees(f, p) == expected, (p, f)
 
+    @pytest.mark.parametrize("p", [101, 103, 211])
+    def test_division_and_gcd_match_sympys_gf_div_and_gf_gcd(self, p):
+        rng = random.Random(f"euclid:{p}")
+
+        def residues(degree):  # from the constant term up, leading coefficient nonzero
+            return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+        for _ in range(100):
+            a, b = residues(rng.randint(0, 24)), residues(rng.randint(0, 12))
+            b[-1] = rng.randrange(2, p)  # never monic
+            if rng.random() < 0.5:  # a common factor, so that the gcd is not 1
+                common = residues(rng.randint(1, 6))[::-1]
+                a = gf_mul(a[::-1], common, p, ZZ)[::-1]
+                b = gf_mul(b[::-1], common, p, ZZ)[::-1]
+            quot, rem = gf_div(a[::-1], b[::-1], p, ZZ)
+            assert _fp_divmod(a, b, p) == ([int(c) for c in reversed(quot)],
+                                           [int(c) for c in reversed(rem)]), (a, b)
+            assert _fp_gcd(a, b, p) == [int(c) for c in reversed(gf_gcd(a[::-1], b[::-1], p, ZZ))]
+
     def test_slots_that_could_overflow_are_refused_before_any_work(self, monkeypatch):
         # 8 products of residues mod 2^31 - 1 can exceed 2^64
         def fail(c):
@@ -319,6 +349,22 @@ class TestSympyRoute:
     def test_square_of_an_irreducible_quadratic(self):
         q = UniPoly((1, 1, 1))
         assert irreducible_factors(q * q * 3) == sympy_factors(q * q) == [(q, 2)]
+
+    @pytest.mark.parametrize("powers", [(2, 1, 0), (3, 2, 1), (1, 4, 2)])
+    def test_cofactors_with_square_factors_are_split_before_sympy(self, powers, no_sympy):
+        # every prime divides the discriminant of (x^2 - 2)^2 (x^3 - 3), so the
+        # certificate skips them all; the squarefree parts are certified one by one
+        q2, q3, q4 = UniPoly((-2, 0, 1)), UniPoly((-3, 0, 0, 1)), UniPoly((1, 1, 0, 0, 1))
+        p = q2 ** powers[0] * q3 ** powers[1] * q4 ** powers[2] * Fraction(-5, 3)
+        assert not certified(p)
+        assert irreducible_factors(p) == sympy_factors(p) == [
+            (q, k) for q, k in zip((q2, q3, q4), powers) if k]
+
+    def test_base_point_pencil_discriminant(self, no_sympy):
+        disc = pencil_discriminant(QUADRATIC_BASE_POINTS)
+        factors = irreducible_factors(disc)
+        assert factors == sympy_factors(disc)
+        assert [(m.degree, mult) for m, mult in factors] == [(2, 2), (6, 1)]
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_zero_roots(self, k, no_sympy):

@@ -35,6 +35,7 @@ from fibrelab.polynomial import (
 )
 
 from conftest import (
+    QUADRATIC_BASE_POINTS,
     compose,
     fraction_gcd,
     fraction_squarefree_decomposition,
@@ -397,6 +398,48 @@ class TestDiscriminantMultiplicity:
         (lam, mult), _orbit = galois_orbits(pencil_discriminant(DEMO))
         assert (lam, mult) == (6, 2)
         assert repeated_part(DEMO.fibre_at(lam)).degree == 1
+
+
+class TestSimpleOrbits:
+    """An orbit that is a simple root of ``Disc`` is one ordinary node, so
+    :func:`total_space_euler` does not run :func:`orbit_signature` on it.
+    The route that runs it on every orbit is the oracle."""
+
+    PENCILS = {
+        **{f"seeded-{g}-{seed}": seeded_pencil(g, seed) for g in range(2, 7) for seed in range(4)},
+        **{f"planted-{g}-{t}": planted_pencil(g, t, 2) for g in (2, 3) for t in range(1, g + 2)},
+        **{f"infinity-{i}": TestRootAtInfinity.pencil(g, q_roots)
+           for i, (g, q_roots, _) in enumerate(TestRootAtInfinity.CASES)},
+        "base-points": QUADRATIC_BASE_POINTS,
+        "demo": DEMO,
+    }
+
+    @pytest.mark.parametrize("pencil", PENCILS.values(), ids=PENCILS.keys())
+    def test_summary_equals_the_signature_of_every_orbit(self, pencil):
+        disc = pencil_discriminant(pencil)
+        f = pencil.member()
+        records = []
+        for location, mult in galois_orbits(disc):
+            m = UniPoly((-location, 1)) if isinstance(location, Fraction) else location
+            signature = orbit_signature(f, m)
+            assert mult > 1 or signature == (1, 0, 0), m
+            fc = classify_signature(pencil.g, *signature)
+            records.append(SingularFibreRecord(location, m.degree, fc.t, fc.kind))
+        assert total_space_euler(pencil) == euler_summary(pencil.g, records, disc.degree)
+
+    def test_the_families_reach_both_kinds_of_simple_node_and_multiple_orbits(self):
+        # a simple orbit whose double root is at x = oo (the member at lam = -1
+        # loses two degrees), a multiple orbit with two nodes (the planted t = 2
+        # fibre) and a multiple orbit of base points with one node
+        simple_at_infinity = TestRootAtInfinity.pencil(2, [-1, -2, -3, -5])
+        assert simple_at_infinity.fibre_at(-1).degree == 4
+        assert (Fraction(-1), 1) in galois_orbits(pencil_discriminant(simple_at_infinity))
+        planted = planted_pencil(2, 2, 2)
+        assert (Fraction(2), 2) in galois_orbits(pencil_discriminant(planted))
+        assert orbit_signature(planted.member(), UniPoly((-2, 1))) == (2, 0, 0)
+        (m, mult), _ = galois_orbits(pencil_discriminant(QUADRATIC_BASE_POINTS))
+        assert (m.degree, mult) == (2, 2)
+        assert orbit_signature(QUADRATIC_BASE_POINTS.member(), m) == (1, 0, 0)
 
 
 def test_record_parameter_serialises_as_its_str():
